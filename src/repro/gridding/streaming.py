@@ -11,14 +11,36 @@ sample stream to be resident.  This module exploits that:
 - :class:`SampleStream` feeds fixed-size chunks from in-memory arrays
   (including ``np.memmap``), generators, or raw binary files read
   O(chunk) at a time;
-- :class:`StreamingSliceAndDiceGridder` compiles (or LRU-reuses, keyed
-  on the chunk's coordinate fingerprint) a scatter plan *per chunk*
-  and accumulates incrementally into one pooled dice, so peak memory
-  is **O(chunk + grid)** instead of O(M·W^d);
-- a *pipelined* mode overlaps chunk ``k+1``'s select/compile with
-  chunk ``k``'s scatter on a prefetch worker thread, degrading
-  stickily to unpipelined streaming (with a recorded
+- :class:`StreamingSliceAndDiceGridder` generates each chunk's window
+  entries on the fly, **in sample order**, and accumulates them into
+  one pooled dice — JIGSAW's select → weight → accumulate pipeline,
+  which evaluates each sample's boundary check and LUT weight as the
+  sample streams past and never stores a scatter plan.  Nothing is
+  compiled or cached per chunk: the entries land in persistent scratch
+  that is reused chunk after chunk, so peak memory is
+  **O(chunk·W^d + grid)** however long the stream is;
+- a *pipelined* mode generates chunk ``k+1``'s entries on a prefetch
+  worker thread while chunk ``k`` accumulates, degrading stickily to
+  unpipelined streaming (with a recorded
   :class:`~repro.errors.DegradationEvent`) if the worker fails.
+
+Chunk entries
+-------------
+Per axis, only the ``W`` candidate columns of a sample can pass the
+two-part boundary check (:mod:`repro.core.decomposition`): the columns
+``p = (rel - j) mod T`` at forward offsets ``j = 0..W-1``.  The
+generator evaluates exactly those, with the one-shot engines'
+expressions — ``fwd = j + frac``, ``mask = fwd < W``, the LUT weight at
+``lut.index_of(fwd)``, the wrapped tile ``(tile - (rel < p)) mod
+count`` — ordering each axis' ``W`` columns by ascending ``p``.  The
+flat dice address is separable, ``Σ_a p_a·T^(d-1-a)·n_tiles +
+tile_a·Π_{b>a} count_b``, so a chunk's ``(m, W^d)`` index and weight
+arrays are one broadcast add and one broadcast multiply over the
+per-axis factors (the weight product runs in axis order, as in the
+column scan, so every weight is bit-equal to the plan's).  The only
+entries that can fail the check are the rounding edge where
+``(W-1) + frac`` rounds up to ``W``; a chunk containing one is
+compressed on a slow path.
 
 Incremental-accumulation bit-identity
 -------------------------------------
@@ -28,38 +50,42 @@ The adjoint's correctness argument rests on two facts:
    reshape/transpose — **no additions** happen outside the dice — so
    chunked accumulation is decided entirely inside the dice words.
 2. Per dice word, the one-shot ``bincount`` accumulates contributions
-   in ascending global sample order.  Chunks partition the sample
-   stream in order, and each chunk's plan orders its entries by
-   ascending (chunk-local) sample inside each row, so concatenating
-   the chunks' per-word contribution sequences reproduces the global
-   ascending order exactly.  The NumPy lane makes the *partial-sum
-   chain* identical too by seeding each chunk's ``bincount`` with the
-   current dice values (index ``arange(n_flat)`` entries prepended):
-   a fresh ``bincount`` accumulator starts at ``0.0`` and
-   ``0.0 + seed == seed`` exactly, so every chunk continues the exact
-   float64 addition chain of the one-shot pass — streamed output is
-   ``np.array_equal`` to the one-shot compiled engine at complex128
-   for **any** chunk size.  At complex64 the NumPy lane rounds the
-   dice to float32 at each chunk boundary (``np.bincount`` internally
-   accumulates in float64), so it is close-but-not-bit-equal there;
-   the JIT and serial lanes accumulate natively in the working dtype
-   in entry order and are bit-identical to the one-shot JIT engine at
-   *both* precisions.
+   in ascending global sample order.  A sample reaches any one word at
+   most once (one point per column), so entries emitted sample by
+   sample also reach each word in ascending sample order; chunks
+   partition the stream in order, so concatenating the chunks'
+   per-word sequences reproduces the global ascending order exactly.
+   The NumPy lane makes the *partial-sum chain* identical too by
+   seeding each chunk's ``bincount`` with the current dice values
+   (index ``arange(n_flat)`` entries prepended): a fresh ``bincount``
+   accumulator starts at ``0.0`` and ``0.0 + seed == seed`` exactly,
+   so every chunk continues the exact float64 addition chain of the
+   one-shot pass — streamed output is ``np.array_equal`` to the
+   one-shot compiled engine at complex128 for **any** chunk size.  At
+   complex64 the NumPy lane rounds the dice to float32 at each chunk
+   boundary (``np.bincount`` internally accumulates in float64), so it
+   is close-but-not-bit-equal there; the JIT and serial lanes
+   accumulate natively in the working dtype in entry order and are
+   bit-identical to the one-shot JIT engine at *both* precisions.
 
 The forward direction is simpler: each chunk owns a disjoint slice of
 the output sample vector, and within a chunk each sample's
-contributions accumulate in ascending row order — the serial order —
-so streamed interpolation is bit-identical in every lane and dtype.
+contributions accumulate in ascending row order — the order the
+generator emits them and the serial order — so streamed interpolation
+is bit-identical in every lane and dtype.
 """
 
 from __future__ import annotations
 
+import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..core.compiled import CompiledPlan, CompiledSliceAndDiceGridder, plan_stats
+from ..core.compiled import CompiledSliceAndDiceGridder
+from ..core.decomposition import decompose_coordinates
 from ..core.jit import jit_available, plan_kernels
 from ..errors import DegradationEvent
 from ..robustness.checkpoint import StreamCheckpoint
@@ -79,8 +105,8 @@ __all__ = [
 ]
 
 #: default fixed chunk size (samples) — large enough that per-chunk
-#: plan-compile overhead amortizes, small enough that the per-chunk
-#: working set stays in the tens of megabytes on 2-D problems
+#: Python overhead amortizes, small enough that the per-chunk working
+#: set stays in the tens of megabytes on 2-D problems
 DEFAULT_CHUNK_SAMPLES = 65536
 
 
@@ -241,9 +267,12 @@ def choose_chunk_samples(
 
     Models the streamed working set as a fixed part (the dice plus the
     seeded-``bincount`` index/weight prefix, both O(grid)) and a
-    per-sample part (chunk coordinate/value slices, the per-axis select
-    tables, and the chunk plan with its gather scratch, all O(chunk)).
-    Returns ``m`` (one chunk) when the whole trajectory fits.
+    per-sample part (chunk coordinate/value slices plus per-entry
+    scratch, all O(chunk)).  The per-entry term is an upper bound: it
+    models 56 bytes per entry where the engine holds about 24, so a
+    budget is met with room to spare, and existing budgets keep the
+    chunk schedules they were tuned for.  Returns ``m`` (one chunk)
+    when the whole trajectory fits.
 
     Raises
     ------
@@ -273,9 +302,9 @@ def choose_chunk_samples(
             f"grid-resident state ({fixed} bytes) alone exceeds "
             f"max_bytes={max_bytes}; no chunk size can satisfy the budget"
         )
-    # per sample: coords + values + select tables (mask/weight/tile per
-    # axis over T columns) + plan entries (sample/flat idx, weight) +
-    # gather scratch (2 real) + aug-bincount suffix (idx + weight)
+    # per sample: coords + values + per-axis terms over T columns +
+    # per entry 8 + 8 + 8 + r + 2r + r bytes (an upper bound on the
+    # entry scratch; see the docstring)
     per_sample = (
         ndim * 8
         + k_rhs * cdt.itemsize
@@ -290,8 +319,75 @@ def choose_chunk_samples(
 _STREAM_LANES = ("auto", "jit", "numpy", "serial")
 
 
+#: samples per generation block: every per-axis ``(W, block)``
+#: temporary stays cache-resident, and numpy's inner loops run over a
+#: block's samples rather than over the ``W`` candidates
+_BLOCK = 8192
+
+
+def _outer(ufunc, parts: list[np.ndarray], out: np.ndarray) -> None:
+    """Per-sample outer combination of ``d`` per-axis ``(W, m)`` factors.
+
+    Writes the sample-major ``(m, W, ..., W)`` array ``out[s, k0, ...,
+    k_{d-1}] = ufunc(...ufunc(parts[0][k0, s], parts[1][k1, s])...,
+    parts[d-1][k_{d-1}, s])`` — a left fold in axis order, so a weight
+    product is rounded exactly like the column scan's ``w0 * w1 * ...``.
+    The fold runs candidate-major (inner loop over samples) and is then
+    transposed into place.
+    """
+    m = parts[0].shape[1]
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = ufunc(acc[:, None, :], part[None, :, :]).reshape(-1, m)
+    out.reshape(m, -1)[...] = acc.T
+
+
+@dataclass
+class ChunkEntries:
+    """One chunk's window entries, in sample order.
+
+    Entry ``e`` adds ``value[sample] * weight[e]`` to dice word
+    ``flat[e]``.  Entries run sample by sample and, within a sample, in
+    ascending dice row — the two orders the bit-identity argument of
+    the module docstring needs.  ``flat`` and ``weight`` are views into
+    the engine's persistent scratch, valid until the same scratch slot
+    is refilled.
+    """
+
+    m: int                  #: samples in the chunk
+    wd: int                 #: candidate entries per sample, ``W^d``
+    aug_idx: np.ndarray     #: int64 ``arange(n_flat)`` then ``flat``
+    weight: np.ndarray      #: real ``(nnz,)`` separable kernel weight per entry
+    sample: np.ndarray | None  #: int64 ``(nnz,)``; ``None``: dense, ``e // wd``
+    checks: int             #: boundary checks evaluated, ``m * W * d``
+    seconds: float          #: wall-clock of the generation
+    transient_bytes: int    #: generation temporaries, freed on return
+
+    @property
+    def nnz(self) -> int:
+        return int(self.weight.size)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """int64 ``(nnz,)`` global dice address per entry."""
+        return self.aug_idx[self.aug_idx.size - self.nnz:]
+
+    def weigh(self, values: np.ndarray, out: np.ndarray) -> None:
+        """``out[e] = values[sample(e)] * weight[e]`` for a real
+        ``(m,)`` value vector (one real part of one RHS)."""
+        if self.sample is None:
+            np.multiply(
+                values[:, None],
+                self.weight.reshape(self.m, self.wd),
+                out=out.reshape(self.m, self.wd),
+            )
+        else:
+            np.take(values, self.sample, out=out, mode="clip")
+            out *= self.weight
+
+
 class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
-    """Chunked streaming Slice-and-Dice with per-chunk compiled plans.
+    """Chunked streaming Slice-and-Dice with plan-free chunk entries.
 
     Array calls (:meth:`grid` etc.) are chunked internally after the
     usual public-boundary gate; :meth:`grid_stream` /
@@ -315,15 +411,15 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         raw Python reference loops — slow, dependency-free, exactly
         entry-ordered).
     pipelined:
-        Overlap the next chunk's select/compile with the current
-        chunk's scatter on a prefetch worker thread.  A worker failure
-        demotes stickily to unpipelined streaming (recorded
-        :class:`~repro.errors.DegradationEvent`); results are
-        bit-identical either way.
+        Generate the next chunk's entries on a prefetch worker thread
+        while the current chunk accumulates (two scratch slots instead
+        of one).  A worker failure demotes stickily to unpipelined
+        streaming (recorded :class:`~repro.errors.DegradationEvent`);
+        results are bit-identical either way.
     plan_cache_size / table_cache_size:
-        As in the parent; plans are keyed per *chunk* fingerprint, so
-        repeated passes over the same stream hit the plan cache chunk
-        by chunk.
+        Accepted for signature compatibility with the compiled engine
+        and validated (``>= 0``), but they have no effect here: chunk
+        entries are generated per call and never cached.
 
     Examples
     --------
@@ -340,6 +436,8 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     True
     >>> stm.stats.chunks, stm.stats.peak_bytes < ref.stats.peak_bytes
     (4, True)
+    >>> stm.stats.boundary_checks, stm.stats.cache_misses  # 100 * W * d, no plans
+    (1200, 0)
     """
 
     name = "slice_and_dice_streaming"
@@ -366,12 +464,18 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         plan_cache_size: int = 8,
         table_cache_size: int = 0,
     ):
+        for label, size in (
+            ("plan_cache_size", plan_cache_size),
+            ("table_cache_size", table_cache_size),
+        ):
+            if size < 0:
+                raise ValueError(f"{label} must be >= 0, got {size}")
         super().__init__(
             setup,
             tile_size=tile_size,
             backend="bincount",
-            plan_cache_size=plan_cache_size,
-            table_cache_size=table_cache_size,
+            plan_cache_size=0,
+            table_cache_size=0,
         )
         if lane not in _STREAM_LANES:
             raise ValueError(f"lane must be one of {_STREAM_LANES}, got {lane!r}")
@@ -385,10 +489,8 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         #: pipelining for the life of the instance, never mid-retries it
         self._pipeline_ok = True
         self._used_lane = ""
-        #: seeded-bincount scratch: int64 indices with an arange(n_flat)
-        #: prefix, plus a matching weight buffer (numpy lane only)
-        self._aug_idx: np.ndarray | None = None
-        self._aug_wgt: np.ndarray | None = None
+        self._candidates = self._candidate_tables()
+        self._reset_scratch()
         if lane == "jit" and not jit_available():
             self._record(
                 DegradationEvent(
@@ -428,61 +530,227 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
 
     def invalidate_cache(self) -> None:
         super().invalidate_cache()
-        self._aug_idx = None
-        self._aug_wgt = None
+        self._reset_scratch()
 
     # ------------------------------------------------------------------
-    # per-chunk scatter / gather
+    # persistent scratch
     # ------------------------------------------------------------------
-    def _aug_scratch(self, n_flat: int, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-        """Seeded-``bincount`` index/weight scratch: ``arange(n_flat)``
-        prefix (the dice seed slots) + ``nnz`` chunk-entry slots."""
-        cap = n_flat + nnz
+    def _reset_scratch(self) -> None:
+        #: per slot (two when pipelined — the prefetch worker fills one
+        #: while the caller accumulates from the other): int64 indices
+        #: with an ``arange(n_flat)`` prefix, and the entry weights
+        self._aug_idx: list[np.ndarray | None] = [None, None]
+        self._entry_wgt: list[np.ndarray | None] = [None, None]
+        #: caller-side seeded-bincount weights (dice seed + weighted
+        #: values) — doubles as the forward gather buffer
+        self._aug_wgt: np.ndarray | None = None
+        #: ``repeat(arange(m), W^d)``: sample index of dense entries,
+        #: built only by the lanes that need one (forward, jit, serial)
+        self._dense_sample: np.ndarray | None = None
+
+    def _slot_scratch(
+        self, slot: int, n_flat: int, nnz: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Slot ``slot``'s ``(n_flat + nnz)`` seeded index and ``(nnz,)``
+        weight buffers, grown (never shrunk) on demand."""
         rdt = self.setup.real_dtype
-        if (
-            self._aug_idx is None
-            or self._aug_idx.size < cap
-            or self._aug_wgt.dtype != rdt
-        ):
-            self._aug_idx = np.empty(cap, dtype=np.int64)
-            self._aug_idx[:n_flat] = np.arange(n_flat, dtype=np.int64)
-            self._aug_wgt = np.empty(cap, dtype=rdt)
-        return self._aug_idx[:cap], self._aug_wgt[:cap]
+        idx, wgt = self._aug_idx[slot], self._entry_wgt[slot]
+        if idx is None or idx.size < n_flat + nnz or wgt.dtype != rdt:
+            idx = np.empty(n_flat + nnz, dtype=np.int64)
+            idx[:n_flat] = np.arange(n_flat, dtype=np.int64)
+            wgt = np.empty(nnz, dtype=rdt)
+            self._aug_idx[slot], self._entry_wgt[slot] = idx, wgt
+        return idx[:n_flat + nnz], wgt[:nnz]
 
+    def _weight_scratch(self, size: int) -> np.ndarray:
+        buf = self._aug_wgt
+        if buf is None or buf.size < size or buf.dtype != self.setup.real_dtype:
+            buf = self._aug_wgt = np.empty(size, dtype=self.setup.real_dtype)
+        return buf[:size]
+
+    def _samples(self, entries: ChunkEntries) -> np.ndarray:
+        """Per-entry sample index (compressed chunks carry their own)."""
+        if entries.sample is not None:
+            return entries.sample
+        nnz = entries.m * entries.wd
+        dense = self._dense_sample
+        if dense is None or dense.size < nnz:
+            dense = self._dense_sample = np.repeat(
+                np.arange(entries.m, dtype=np.int64), entries.wd
+            )
+        return dense[:nnz]
+
+    def _scratch_bytes(self) -> int:
+        arrays = self._aug_idx + self._entry_wgt + [
+            self._aug_wgt, self._dense_sample,
+        ]
+        return sum(a.nbytes for a in arrays if a is not None)
+
+    # ------------------------------------------------------------------
+    # chunk entry generation (the select + weight stages)
+    # ------------------------------------------------------------------
+    def _candidate_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-``rel`` tables of the ``W`` candidate columns, ``(W, T)``.
+
+        Column ``k`` of the ascending order is at forward offset
+        ``j = (min(rel, W-1) - k) mod W``, i.e. column ``p = (rel - j)
+        mod T``; it *wraps* into the previous tile iff ``rel < p``,
+        i.e. iff ``j > rel`` (the columns ``p <= rel`` come first).
+        Returns ``(j, wrap, p)``; ``j`` as float64, ready to add to a
+        fraction (``int + float`` converts the int exactly, so the sum
+        is the one-shot engines' ``fwd`` bit for bit).
+        """
+        w, t = self.setup.width, self.tile_size
+        rel = np.arange(t)
+        k = np.arange(w)[:, None]
+        j = np.mod(np.minimum(rel, w - 1) - k, w)
+        wrap = j > rel
+        return j.astype(np.float64), wrap, rel - j + t * wrap
+
+    def _axis_factors(self, coords: np.ndarray):
+        """Per-axis ``(W, m)`` candidate factors of a block of samples.
+
+        Returns ``(masks, weights, addrs)``: per axis the boundary
+        check (``None`` when every candidate passes — all but the
+        rounding edge), the LUT weight, and the axis' share of the
+        flat dice address.
+        """
+        setup = self.setup
+        lut = setup.lut
+        w, t = setup.width, self.tile_size
+        j_of, wrap_of, col_of = self._candidates
+        row_stride = self.layout.n_columns * self.layout.n_tiles
+        tile_stride = self.layout.n_tiles
+        masks, weights, addrs = [], [], []
+        for axis in range(setup.ndim):
+            # one axis at a time: elementwise the same decomposition,
+            # without (m, d)-shaped passes
+            dec = decompose_coordinates(
+                coords[:, axis:axis + 1], setup.grid_shape[axis:axis + 1],
+                t, lut.width,
+            )
+            count = dec.tile_counts[0]
+            row_stride //= t
+            tile_stride //= count
+            rel, tile = dec.rel[:, 0], dec.tile[:, 0]
+            fwd = np.take(j_of, rel, axis=1)
+            fwd += dec.frac[:, 0]
+            masks.append(fwd < w if fwd.max() >= w else None)
+            weights.append(
+                lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
+            )
+            # address = p * row_stride + ((tile - wrap) mod count) *
+            # tile_stride; the mod only bites when tile == 0 wraps
+            addr = np.take(
+                col_of * row_stride - wrap_of * tile_stride, rel, axis=1
+            )
+            addr += tile * tile_stride
+            edge = np.flatnonzero(tile == 0)
+            addr[:, edge] += (
+                np.take(wrap_of, rel[edge], axis=1) * count * tile_stride
+            )
+            addrs.append(addr)
+        return masks, weights, addrs
+
+    def _chunk_entries(self, coords: np.ndarray, slot: int = 0) -> ChunkEntries:
+        """Generate one chunk's window entries into scratch slot ``slot``.
+
+        Evaluates the ``W`` candidate columns per axis (module
+        docstring) block by block, laid out ``(W, block)`` so every
+        numpy pass runs over samples, and combines the axes with
+        broadcast adds/multiplies written straight into the slot's
+        buffers.  When every check passes — always, except at the
+        ``(W-1) + frac → W`` rounding edge — the entries are dense:
+        ``W^d`` per sample, in ascending row order.  Otherwise the
+        failing entries are compressed out and the chunk carries an
+        explicit sample index.
+        """
+        t0 = time.perf_counter()
+        w, d = self.setup.width, self.setup.ndim
+        m = coords.shape[0]
+        wd = w ** d
+        n_flat = self.layout.n_columns * self.layout.n_tiles
+        aug_idx, wgt = self._slot_scratch(slot, n_flat, m * wd)
+        flat = aug_idx[n_flat:]
+        edges = []  # (lo, hi, masks) of blocks holding a rounding edge
+        for lo in range(0, m, _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            masks, weights, addrs = self._axis_factors(coords[lo:hi])
+            _outer(np.add, addrs, flat[lo * wd:hi * wd])
+            _outer(np.multiply, weights, wgt[lo * wd:hi * wd])
+            if any(mk is not None for mk in masks):
+                edges.append((lo, hi, masks))
+        # generation temporaries of one block: ~4 (b,) decomposition
+        # arrays per axis, the kept (W, b) factors (mask, float64 LUT
+        # read, weight, address) plus ~4 in-flight ones, and the
+        # (W^(d-1), b) and (W^d, b) folds of _outer
+        b = min(m, _BLOCK)
+        transient = (
+            4 * d * b * 8
+            + (d * 25 + 4 * 8) * w * b
+            + (wd + wd // w) * b * 8
+        )
+        sample = None
+        if edges:
+            keep_mask = np.ones(m * wd, dtype=bool)
+            for lo, hi, masks in edges:
+                full = np.ones((w, hi - lo), dtype=bool)
+                _outer(
+                    np.logical_and,
+                    [full if mk is None else mk for mk in masks],
+                    keep_mask[lo * wd:hi * wd],
+                )
+            keep = np.flatnonzero(keep_mask)
+            nnz = keep.size
+            aug_idx[n_flat:n_flat + nnz] = flat[keep]
+            wgt[:nnz] = wgt[keep]
+            sample = keep // wd
+            aug_idx, wgt = aug_idx[:n_flat + nnz], wgt[:nnz]
+            # kept masks + combined mask + keep/sample + compressed copies
+            transient += len(edges) * d * w * b + m * wd + nnz * (24 + 8)
+        return ChunkEntries(
+            m=m,
+            wd=wd,
+            aug_idx=aug_idx,
+            weight=wgt,
+            sample=sample,
+            checks=m * w * d,
+            seconds=time.perf_counter() - t0,
+            transient_bytes=transient,
+        )
+
+    def _entries(self, coords: np.ndarray) -> ChunkEntries | None:
+        return self._chunk_entries(coords) if coords.shape[0] else None
+
+    # ------------------------------------------------------------------
+    # per-chunk scatter / gather (the accumulate stage)
+    # ------------------------------------------------------------------
     def _scatter_chunk_numpy(
-        self, plan: CompiledPlan, values_stack: np.ndarray, dice_flat: np.ndarray
+        self, entries: ChunkEntries, values_stack: np.ndarray, dice_flat: np.ndarray
     ) -> None:
         """Seeded ``bincount`` accumulate: one bincount per real part
         whose first ``n_flat`` entries re-deposit the current dice
         values, so every per-word partial-sum chain continues the
         one-shot chain exactly (bit-identical at complex128)."""
         n_flat = dice_flat.shape[1]
-        nnz = plan.nnz
-        sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
-        re, im = self._plan_scratch(nnz)
-        aug_idx, aug_wgt = self._aug_scratch(n_flat, nnz)
-        aug_idx[n_flat:] = flat
+        aug_wgt = self._weight_scratch(n_flat + entries.nnz)
+        seed, suffix = aug_wgt[:n_flat], aug_wgt[n_flat:]
         for k in range(values_stack.shape[0]):
-            np.take(values_stack[k].real, sample, out=re, mode="clip")
-            np.take(values_stack[k].imag, sample, out=im, mode="clip")
-            re *= wgt
-            im *= wgt
-            aug_wgt[:n_flat] = dice_flat[k].real
-            aug_wgt[n_flat:] = re
-            dice_flat[k].real = np.bincount(
-                aug_idx, weights=aug_wgt, minlength=n_flat
-            )[:n_flat]
-            aug_wgt[:n_flat] = dice_flat[k].imag
-            aug_wgt[n_flat:] = im
-            dice_flat[k].imag = np.bincount(
-                aug_idx, weights=aug_wgt, minlength=n_flat
-            )[:n_flat]
+            dice_k, values_k = dice_flat[k], values_stack[k]
+            for dice_part, value_part in (
+                (dice_k.real, values_k.real), (dice_k.imag, values_k.imag)
+            ):
+                seed[...] = dice_part
+                entries.weigh(value_part, suffix)
+                dice_part[...] = np.bincount(
+                    entries.aug_idx, weights=aug_wgt, minlength=n_flat
+                )
 
     def _scatter_chunk(
-        self, plan: CompiledPlan, values_stack: np.ndarray, dice_flat: np.ndarray
+        self, entries: ChunkEntries, values_stack: np.ndarray, dice_flat: np.ndarray
     ) -> None:
-        """Accumulate one chunk's plan into the persistent dice."""
-        if plan.nnz == 0:
+        """Accumulate one chunk's entries into the persistent dice."""
+        if entries.nnz == 0:
             self._used_lane = self._used_lane or "numpy"
             return
         lane = self._resolve_lane()
@@ -492,8 +760,8 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
                     fault_point("jit:scatter")
                 kern = plan_kernels(jit=(lane == "jit"))["scatter-serial"]
                 kern(
-                    values_stack, plan.sample_idx, plan.flat_idx, plan.weight,
-                    dice_flat,
+                    values_stack, self._samples(entries), entries.flat,
+                    entries.weight, dice_flat,
                 )
             except (KeyboardInterrupt, SystemExit):
                 raise
@@ -502,39 +770,63 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
                 # fire before any entry is written, so the chunk can be
                 # replayed on the NumPy lane without double-counting
                 self._demote_lane(lane, exc)
-                self._scatter_chunk_numpy(plan, values_stack, dice_flat)
+                self._scatter_chunk_numpy(entries, values_stack, dice_flat)
                 self._used_lane = "numpy"
                 return
             self._used_lane = self._lane_label(lane)
             return
-        self._scatter_chunk_numpy(plan, values_stack, dice_flat)
+        self._scatter_chunk_numpy(entries, values_stack, dice_flat)
         self._used_lane = "numpy"
 
+    def _gather_chunk_numpy(
+        self, entries: ChunkEntries, dice_flat: np.ndarray
+    ) -> np.ndarray:
+        """Gather, weight, and segment-sum keyed by sample; per sample
+        the ``bincount`` adds in ascending row order (the serial order)."""
+        m = entries.m
+        out = np.empty((dice_flat.shape[0], m), dtype=self.setup.dtype)
+        sample = self._samples(entries)
+        buf = self._weight_scratch(entries.nnz)
+        for k in range(dice_flat.shape[0]):
+            dice_k, out_k = dice_flat[k], out[k]
+            for dice_part, out_part in (
+                (dice_k.real, out_k.real), (dice_k.imag, out_k.imag)
+            ):
+                np.take(dice_part, entries.flat, out=buf, mode="clip")
+                buf *= entries.weight
+                out_part[...] = np.bincount(sample, weights=buf, minlength=m)
+        return out
+
     def _gather_chunk(
-        self, plan: CompiledPlan, dice_flat: np.ndarray, m_chunk: int
+        self, entries: ChunkEntries, dice_flat: np.ndarray
     ) -> np.ndarray:
         """One chunk's forward interpolation: ``(K, m_chunk)``."""
         lane = self._resolve_lane()
-        if plan.nnz and lane in ("jit", "serial"):
-            out = np.zeros((dice_flat.shape[0], m_chunk), dtype=self.setup.dtype)
+        if entries.nnz and lane in ("jit", "serial"):
+            out = np.zeros(
+                (dice_flat.shape[0], entries.m), dtype=self.setup.dtype
+            )
             try:
                 if lane == "jit":
                     fault_point("jit:gather")
                 kern = plan_kernels(jit=(lane == "jit"))["gather-serial"]
-                kern(dice_flat, plan.sample_idx, plan.flat_idx, plan.weight, out)
+                kern(
+                    dice_flat, self._samples(entries), entries.flat,
+                    entries.weight, out,
+                )
             except (KeyboardInterrupt, SystemExit):
                 raise
             except BaseException as exc:
                 self._demote_lane(lane, exc)
                 self._used_lane = "numpy"
-                return self._apply_interp(plan, dice_flat, m_chunk)
+                return self._gather_chunk_numpy(entries, dice_flat)
             self._used_lane = self._lane_label(lane)
             return out
         self._used_lane = "numpy"
-        return self._apply_interp(plan, dice_flat, m_chunk)
+        return self._gather_chunk_numpy(entries, dice_flat)
 
     # ------------------------------------------------------------------
-    # chunk iteration + pipelined plan prefetch
+    # chunk iteration + pipelined entry prefetch
     # ------------------------------------------------------------------
     def _array_chunks(self, coords: np.ndarray, values_stack: np.ndarray | None):
         """Chunk pre-gated arrays (the template-method impl path)."""
@@ -573,111 +865,112 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         )
         return self.setup.check_coords(coords), values_stack, bad, report
 
-    def _plan_chunks(self, chunk_iter):
-        """Yield ``(coords, values, plan, hit)`` per chunk.
+    def _entry_chunks(self, chunk_iter):
+        """Yield ``(coords, values, entries)`` per chunk, in order
+        (``entries`` is ``None`` for an empty chunk).
 
-        Unpipelined: fetch each chunk's plan inline.  Pipelined: a
-        one-worker prefetch pool compiles chunk ``k+1``'s plan while
-        the caller scatters chunk ``k`` (the next future is submitted
-        *before* the current chunk is yielded).  The chunk pull itself
-        stays on the calling thread so source/gate exceptions surface
-        exactly as in the unpipelined path.
+        Unpipelined: generate each chunk's entries inline into scratch
+        slot 0.  Pipelined: a one-worker prefetch pool generates chunk
+        ``k+1``'s entries into the other slot while the caller
+        accumulates chunk ``k`` (the next job is submitted *before* the
+        current chunk is yielded).  The chunk pull itself stays on the
+        calling thread so source/gate exceptions surface exactly as in
+        the unpipelined path.
         """
         if not (self.pipelined and self._pipeline_ok):
             for coords_c, values_c in chunk_iter:
-                if coords_c.shape[0] == 0:
-                    yield coords_c, values_c, None, False
-                    continue
-                plan, hit = self._fetch_plan(coords_c)
-                yield coords_c, values_c, plan, hit
+                yield coords_c, values_c, self._entries(coords_c)
             return
 
         chunk_iter = iter(chunk_iter)
         stage_worker_faults(1)
 
-        def compile_task(chunk_coords):
+        def generate(chunk_coords, slot):
             worker_fault_point(0)
-            return self._fetch_plan(chunk_coords)
+            return self._chunk_entries(chunk_coords, slot)
 
         executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="stream-prefetch"
         )
+
+        def submitted():
+            # alternate slots per non-empty chunk: the slot a job fills
+            # was last read by the chunk two back, already accumulated
+            slot = 0
+            for coords_c, values_c in chunk_iter:
+                fut = None
+                if coords_c.shape[0]:
+                    fut = executor.submit(generate, coords_c, slot)
+                    slot ^= 1
+                yield coords_c, values_c, fut
+
         try:
-            cur = next(chunk_iter, None)
-            while cur is not None and cur[0].shape[0] == 0:
-                yield cur[0], cur[1], None, False
-                cur = next(chunk_iter, None)
-            if cur is None:
-                return
-            fut = executor.submit(compile_task, cur[0])
+            queue = submitted()
+            cur = next(queue, None)
             while cur is not None:
-                nxt = next(chunk_iter, None)
-                while nxt is not None and nxt[0].shape[0] == 0:
-                    yield nxt[0], nxt[1], None, False
-                    nxt = next(chunk_iter, None)
+                nxt = next(queue, None)
+                coords_c, values_c, fut = cur
                 try:
-                    plan, hit = fut.result()
+                    entries = None if fut is None else fut.result()
                 except (KeyboardInterrupt, SystemExit):
                     raise
                 except BaseException as exc:
-                    # sticky demotion: recompile this chunk inline and
-                    # finish the pass (and all later passes) unpipelined
+                    # sticky demotion: let the in-flight job release its
+                    # slot, regenerate inline, and finish the pass (and
+                    # all later passes) unpipelined
                     self._demote_pipeline(exc)
-                    plan, hit = self._fetch_plan(cur[0])
-                    yield cur[0], cur[1], plan, hit
+                    if nxt is not None and nxt[2] is not None:
+                        nxt[2].exception()
+                    yield coords_c, values_c, self._entries(coords_c)
                     if nxt is not None:
-                        plan, hit = self._fetch_plan(nxt[0])
-                        yield nxt[0], nxt[1], plan, hit
-                    for coords_c, values_c in chunk_iter:
-                        if coords_c.shape[0] == 0:
-                            yield coords_c, values_c, None, False
-                            continue
-                        plan, hit = self._fetch_plan(coords_c)
-                        yield coords_c, values_c, plan, hit
+                        yield nxt[0], nxt[1], self._entries(nxt[0])
+                    for coords_r, values_r in chunk_iter:
+                        yield coords_r, values_r, self._entries(coords_r)
                     return
-                if nxt is not None:
-                    fut = executor.submit(compile_task, nxt[0])
-                yield cur[0], cur[1], plan, hit
+                yield coords_c, values_c, entries
                 cur = nxt
         finally:
-            executor.shutdown(wait=True)
+            executor.shutdown(wait=True, cancel_futures=True)
 
     # ------------------------------------------------------------------
     # stats
     # ------------------------------------------------------------------
-    def _scratch_bytes(self) -> int:
-        total = 0
-        if self._entry_scratch is not None:
-            total += self._entry_scratch.nbytes
-        if self._aug_idx is not None:
-            total += self._aug_idx.nbytes + self._aug_wgt.nbytes
-        return total
-
     def _chunk_stats(
         self,
-        plan: CompiledPlan,
-        hit: bool,
+        entries: ChunkEntries,
         k_rhs: int,
         coords_c: np.ndarray,
         values_c: np.ndarray | None,
     ) -> GriddingStats:
-        """One chunk's stats: plan counters + streaming gauges."""
+        """One chunk's stats: the checks and LUT reads the generator
+        evaluated, the entries accumulated, and the streaming gauges.
+        No plan is compiled or cached, so ``cache_hits``/``cache_misses``
+        stay 0 and ``plan_compile_seconds`` carries the generation."""
         n_flat = self.layout.n_columns * self.layout.n_tiles
         chunk_io = coords_c.nbytes + (0 if values_c is None else values_c.nbytes)
         scratch = self._scratch_bytes()
-        st = plan_stats(
-            self.setup.ndim,
-            self.layout.n_columns,
-            coords_c.shape[0],
-            k_rhs,
-            plan,
-            hit,
-            dice_bytes=k_rhs * n_flat * self.setup.dtype.itemsize
-            + chunk_io + scratch,
+        nnz = entries.nnz
+        return GriddingStats(
+            boundary_checks=entries.checks,
+            interpolations=nnz * k_rhs,
+            samples_processed=entries.m,
+            presort_operations=0,
+            grid_accesses=nnz * k_rhs,
+            lut_lookups=entries.checks,
+            simd_active_lanes=nnz,
+            simd_lane_slots=entries.m * entries.wd,
+            plan_compile_seconds=entries.seconds,
+            plan_nnz=nnz,
+            chunks=1,
+            chunk_bytes=chunk_io + scratch,
+            # dice + chunk + scratch + generation temporaries + one
+            # float64 bincount result
+            peak_bytes=(
+                k_rhs * n_flat * self.setup.dtype.itemsize
+                + chunk_io + scratch + entries.transient_bytes
+                + n_flat * 8
+            ),
         )
-        st.chunks = 1
-        st.chunk_bytes = plan.nbytes + chunk_io + scratch
-        return st
 
     def _finalize_stats(self, total: GriddingStats) -> None:
         total.exec_lane = self._used_lane or "numpy"
@@ -718,7 +1011,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             for k in range(k_rhs):
                 dice_flat[k] = self.layout.grid_to_dice(grid_stack[k]).reshape(-1)
             lo = 0
-            for coords_c, _, plan, hit in self._plan_chunks(
+            for coords_c, _, entries in self._entry_chunks(
                 self._array_chunks(coords, None)
             ):
                 if self.cancel_token is not None:
@@ -726,9 +1019,9 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
                 m_c = coords_c.shape[0]
                 if m_c == 0:
                     continue
-                out[:, lo:lo + m_c] = self._gather_chunk(plan, dice_flat, m_c)
+                out[:, lo:lo + m_c] = self._gather_chunk(entries, dice_flat)
                 total.accumulate(
-                    self._chunk_stats(plan, hit, k_rhs, coords_c, None)
+                    self._chunk_stats(entries, k_rhs, coords_c, None)
                 )
                 lo += m_c
         finally:
@@ -756,12 +1049,12 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
           :class:`~repro.robustness.CheckpointConfig`) seeds the dice
           from a matching stored snapshot and skips the first
           ``chunk_cursor`` chunks of the replayed stream (skipped
-          chunks are never planned or scattered), then saves a fresh
-          snapshot every ``every`` accumulated chunks.  Because the
-          accumulation chain is seeded (module docstring), the resumed
-          output is bit-identical to an uninterrupted run.  A stale
-          snapshot (fingerprint/shape mismatch) is ignored with a
-          recorded :class:`~repro.errors.DegradationEvent` — never
+          chunks never have entries generated or scattered), then
+          saves a fresh snapshot every ``every`` accumulated chunks.
+          Because the accumulation chain is seeded (module docstring),
+          the resumed output is bit-identical to an uninterrupted run.
+          A stale snapshot (fingerprint/shape mismatch) is ignored with
+          a recorded :class:`~repro.errors.DegradationEvent` — never
           blended in.
         """
         total = GriddingStats()
@@ -805,13 +1098,13 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
                         yield chunk
                 chunk_iter = remaining()
 
-            for coords_c, values_c, plan, hit in self._plan_chunks(chunk_iter):
+            for coords_c, values_c, entries in self._entry_chunks(chunk_iter):
                 if token is not None:
                     token.check()
                 if coords_c.shape[0]:
-                    self._scatter_chunk(plan, values_c, dice_flat)
+                    self._scatter_chunk(entries, values_c, dice_flat)
                     total.accumulate(
-                        self._chunk_stats(plan, hit, k_rhs, coords_c, values_c)
+                        self._chunk_stats(entries, k_rhs, coords_c, values_c)
                     )
                     sample_cursor += coords_c.shape[0]
                 cursor += 1
@@ -961,12 +1254,10 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
                             (k_rhs, 0), dtype=self.setup.dtype
                         )
                     else:
-                        plan, hit = self._fetch_plan(coords_c)
-                        vals = self._gather_chunk(
-                            plan, dice_flat, coords_c.shape[0]
-                        )
+                        entries = self._chunk_entries(coords_c)
+                        vals = self._gather_chunk(entries, dice_flat)
                         total.accumulate(
-                            self._chunk_stats(plan, hit, k_rhs, coords_c, None)
+                            self._chunk_stats(entries, k_rhs, coords_c, None)
                         )
                     vals = self._restore_sample_slots(
                         vals, bad, report, m_raw, batched=True

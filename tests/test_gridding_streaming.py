@@ -27,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.decomposition import decompose_coordinates
 from repro.core.jit import jit_available
 from repro.errors import CoordinateError
 from repro.gridding import (
@@ -47,6 +48,13 @@ LANES = ("numpy", "serial") + (("jit",) if jit_available() else ())
 
 def setup_3d() -> GriddingSetup:
     return GriddingSetup((16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
+
+
+#: a coordinate whose window-shifted value (shift W/2 = 3 at W = 6) is
+#: 4 - 2**-51, so its fraction is the largest one [3, 4) can carry;
+#: the last candidate column's ``(W-1) + frac`` then rounds (ties to
+#: even) to exactly ``W`` and fails the boundary check ``fwd < W``
+EDGE = 1.0 - 2.0 ** -51
 
 
 # ----------------------------------------------------------------------
@@ -168,6 +176,96 @@ class TestBitIdentity:
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
+
+
+    @pytest.mark.parametrize("ndim", (2, 3))
+    @pytest.mark.parametrize("chunk", ("one", "all"))
+    @pytest.mark.parametrize("lane", ("numpy", "serial"))
+    def test_rounding_edge_bit_identical(self, rng, ndim, chunk, lane):
+        """Samples at the ``(W-1) + frac -> W`` rounding edge lose their
+        last candidate column; the streamed chunk entries must drop
+        exactly the entries the one-shot select pass drops."""
+        shape = (32, 32) if ndim == 2 else (16, 16, 16)
+        setup = GriddingSetup(shape, KernelLUT(beatty_kernel(6, 2.0), 64))
+        m = 40
+        coords = rng.uniform(0, shape[0], (m, ndim))
+        coords[::7, 0] = EDGE     # edge on the first axis
+        coords[3::7, -1] = EDGE   # edge on the last axis
+        coords[5] = EDGE          # edge on every axis
+        w = setup.width
+        dec = decompose_coordinates(coords, shape, 8, setup.lut.width)
+        assert np.count_nonzero((w - 1) + dec.frac >= w) > m // 7
+        values = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        grid = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        ref = make_gridder("slice_and_dice_compiled", setup)
+        stm = make_gridder(
+            "slice_and_dice_streaming", setup,
+            chunk_samples=1 if chunk == "one" else m, lane=lane,
+        )
+        assert np.array_equal(
+            stm.grid(coords, values), ref.grid(coords, values)
+        )
+        # the compressed entries really were taken
+        assert stm.stats.interpolations == ref.stats.plan_nnz < m * w**ndim
+        assert np.array_equal(
+            stm.interp(grid, coords), ref.interp(grid, coords)
+        )
+
+    def test_pipelined_interp_bit_identical(self, small_setup, rng):
+        coords, _ = random_samples(rng, 500, small_setup.grid_shape)
+        grids = rng.standard_normal((2,) + small_setup.grid_shape) + 0j
+        ref = make_gridder("slice_and_dice_compiled", small_setup)
+        stm = make_gridder(
+            "slice_and_dice_streaming", small_setup,
+            chunk_samples=64, pipelined=True,
+        )
+        assert np.array_equal(
+            stm.interp_batch(grids, coords), ref.interp_batch(grids, coords)
+        )
+        assert stm.degradations == ()
+
+    def test_pipelined_stream_keeps_empty_chunks_in_order(
+        self, small_setup, rng
+    ):
+        """Empty chunks interleaved in a pipelined stream are yielded in
+        stream order, so every checkpoint's cursors count exactly the
+        chunks accumulated into its dice (a snapshot that counted a
+        later empty chunk before an earlier full one would make resume
+        skip samples)."""
+        from repro.robustness import CheckpointConfig, CheckpointStore
+
+        class RecordingStore(CheckpointStore):
+            def __init__(self):
+                super().__init__()
+                self.saved = []
+
+            def save(self, key, snapshot):
+                self.saved.append(
+                    (snapshot.chunk_cursor, snapshot.sample_cursor)
+                )
+                super().save(key, snapshot)
+
+        coords, values = random_samples(rng, 300, small_setup.grid_shape)
+        empty = (np.zeros((0, 2)), np.zeros(0, dtype=complex))
+        pieces = []
+        for lo in range(0, 300, 100):
+            pieces += [empty, (coords[lo:lo + 100], values[lo:lo + 100])]
+        ref = make_gridder("slice_and_dice_compiled", small_setup)
+        expected = ref.grid(coords, values)
+        stm = make_gridder(
+            "slice_and_dice_streaming", small_setup,
+            chunk_samples=100, pipelined=True,
+        )
+        store = RecordingStore()
+        stm.checkpoint = CheckpointConfig(
+            store=store, key="k", fingerprint="f", every=1,
+            delete_on_success=False,
+        )
+        got = stm.grid_stream(SampleStream.from_chunks(iter(pieces)))
+        assert np.array_equal(got, expected)
+        assert store.saved == [
+            (1, 0), (2, 100), (3, 100), (4, 200), (5, 200), (6, 300)
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -374,6 +472,56 @@ class TestMemory:
         assert traced_peak <= stm.stats.peak_bytes + 1_000_000, (
             traced_peak, stm.stats.peak_bytes
         )
+
+    def test_cold_pass_keeps_no_chunk_plans(self, small_setup, rng):
+        """Regression: streamed passes used to leave an 8-entry LRU of
+        chunk plans alive, so a process held several chunks' worth of
+        plans beyond the byte budget chunking exists to honour.  Over
+        more chunks than that LRU held, a cold pass may keep at most one
+        dice (the returned grid) plus one chunk's scratch, and its
+        allocator peak must stay within the reported ``peak_bytes``."""
+        coords, values = random_samples(rng, 3000, small_setup.grid_shape)
+        stm = make_gridder(
+            "slice_and_dice_streaming", small_setup, chunk_samples=256
+        )
+        tracemalloc.start()
+        try:
+            grid = stm.grid(coords, values)
+            held, traced_peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stm.stats.chunks > 8
+        # small slack for interpreter objects (stats, frames)
+        assert held <= grid.nbytes + stm.stats.chunk_bytes + 100_000, (
+            held, grid.nbytes, stm.stats.chunk_bytes
+        )
+        assert traced_peak <= stm.stats.peak_bytes + 1_000_000, (
+            traced_peak, stm.stats.peak_bytes
+        )
+
+    def test_stats_count_generation_not_plans(self, small_setup, rng):
+        """Streamed passes compile and cache nothing: every pass reports
+        the checks its entry generation evaluated (``m * W * d``), zero
+        cache events, the generation time as ``plan_compile_seconds``,
+        and the entry scratch in ``chunk_bytes``."""
+        m = 500
+        coords, values = random_samples(rng, m, small_setup.grid_shape)
+        w, d = small_setup.width, small_setup.ndim
+        stm = make_gridder(
+            "slice_and_dice_streaming", small_setup,
+            chunk_samples=64, plan_cache_size=16,  # accepted, no effect
+        )
+        for _ in range(2):
+            stm.grid(coords, values)
+            st_ = stm.stats
+            assert st_.boundary_checks == m * w * d
+            assert st_.cache_hits == st_.cache_misses == 0
+            assert st_.plan_compile_seconds > 0.0
+            assert st_.table_build_seconds == 0.0
+            assert st_.interpolations == m * w**d
+            # seeded index + entry weight + seeded weight per entry
+            assert st_.chunk_bytes >= 64 * w**d * 24
+            assert st_.peak_bytes > st_.chunk_bytes
 
     def test_choose_chunk_samples(self):
         # full fit -> one chunk
