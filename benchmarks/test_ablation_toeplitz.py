@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.nufft import NufftPlan, ToeplitzGram
+from repro.nufft import NufftPlan, ToeplitzNormalOperator
 from repro.phantoms import shepp_logan_2d
 from repro.recon import cg_reconstruction, rel_l2_error
 from repro.trajectories import golden_angle_radial
@@ -35,7 +35,7 @@ def problem():
 def test_toeplitz_equals_gridding_cg(problem):
     plan, phantom, kspace = problem
     direct = cg_reconstruction(plan, kspace, n_iterations=10)
-    toep = cg_reconstruction(plan, kspace, n_iterations=10, toeplitz=True)
+    toep = cg_reconstruction(plan, kspace, n_iterations=10, normal="toeplitz")
     err = rel_l2_error(toep.image, direct.image)
     print_table(
         "CG reconstruction: gridding-per-iteration vs Toeplitz",
@@ -50,7 +50,7 @@ def test_toeplitz_equals_gridding_cg(problem):
 
 def test_per_iteration_costs(problem, benchmark):
     plan, _, kspace = problem
-    gram = ToeplitzGram(plan)
+    gram = ToeplitzNormalOperator(plan)
     x = np.ones((N, N), dtype=complex)
     benchmark.group = "gram-application"
     benchmark.pedantic(gram.apply, args=(x,), rounds=5, iterations=1)
@@ -76,7 +76,7 @@ def test_toeplitz_amortizes_gridding(problem):
     t_direct = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    cg_reconstruction(plan, kspace, n_iterations=n_iter, toeplitz=True)
+    cg_reconstruction(plan, kspace, n_iterations=n_iter, normal="toeplitz")
     t_toep = time.perf_counter() - t0
 
     print_table(

@@ -29,15 +29,20 @@ Public surface:
   compiled once per trajectory into a :class:`~repro.core.CompiledPlan`
   (flat sample/address/weight arrays); every repeat call is a gather
   plus bincount accumulates with zero select work, bit-identical to
-  the serial gridder.
-- :class:`~repro.core.JitSliceAndDiceGridder` — the compiled plan
-  executed by numba-fused scatter/gather loops (serial and
-  row/sample-sharded ``prange`` lanes), degrading to the pure-NumPy
-  compiled path when numba is absent.
+  the serial gridder.  Its ``lane=`` option runs the plan through the
+  numba-fused scatter/gather loops of :mod:`~repro.core.jit` (serial
+  and row/sample-sharded ``prange`` lanes), degrading to the NumPy
+  lane when numba is absent;
+  :class:`~repro.core.JitSliceAndDiceGridder` is that engine with
+  ``lane="auto"``, registered as ``slice_and_dice_jit``.
 """
 
-from .compiled import CompiledPlan, CompiledSliceAndDiceGridder
-from .jit import JitSliceAndDiceGridder, jit_available
+from .compiled import (
+    CompiledPlan,
+    CompiledSliceAndDiceGridder,
+    JitSliceAndDiceGridder,
+)
+from .jit import jit_available
 from .decomposition import (
     CoordinateDecomposition,
     decompose_coordinates,

@@ -55,6 +55,19 @@ but its C routines may use different intermediate rounding, so the CSR
 backend is documented as ``allclose(rtol=1e-12)`` rather than
 bit-identical.
 
+Execution lanes
+---------------
+``lane=`` picks what runs over the plan entries: ``"numpy"`` (default;
+the bincount / CSR paths above) or the numba-fused loops of
+:mod:`repro.core.jit` — ``"numba-serial"``, ``"numba-parallel"``, or
+``"auto"`` (parallel at or above ``parallel_threshold`` entries).
+Every call goes through one lane path: select the lane, try the fused
+kernel, and on any failure demote stickily to ``"numpy"`` with one
+recorded :class:`~repro.errors.DegradationEvent` and replay the call on
+NumPy.  ``stats.exec_lane`` and ``stats.degradations`` report the lane
+that ran and the events fired since the last call.  The streaming
+engine inherits the same path for its chunk accumulates.
+
 Plan cache
 ----------
 Plans are memoized per trajectory with the same O(1)
@@ -72,7 +85,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..errors import DegradationEvent
 from ..gridding.base import GriddingSetup, GriddingStats
+from . import jit as _jit
 from .slice_and_dice import SliceAndDiceGridder
 
 try:  # pragma: no cover - scipy is an install requirement, but degrade
@@ -83,6 +98,7 @@ except ImportError:  # pragma: no cover
 __all__ = [
     "CompiledPlan",
     "CompiledSliceAndDiceGridder",
+    "JitSliceAndDiceGridder",
     "plan_grid_rows",
     "plan_interp_samples",
     "plan_stats",
@@ -313,7 +329,19 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         Virtual tile dimension ``T`` (8 in the paper).
     backend:
         ``"bincount"`` (default; bit-identical to the serial engine) or
-        ``"csr"`` (scipy CSR mat-mat; ``allclose(rtol=1e-12)``).
+        ``"csr"`` (scipy CSR mat-mat; ``allclose(rtol=1e-12)``, NumPy
+        lane only).
+    lane:
+        ``"numpy"`` (default), ``"numba-serial"``, ``"numba-parallel"``,
+        or ``"auto"`` (parallel for plans at or above
+        ``parallel_threshold`` entries, serial below, where thread
+        launch overhead would dominate).  A numba lane degrades to
+        ``"numpy"`` with a recorded
+        :class:`~repro.errors.DegradationEvent` when numba is
+        unavailable, and stickily on a runtime JIT failure.
+    parallel_threshold:
+        Plan-entry count at which ``lane="auto"`` switches from the
+        serial to the parallel kernels.
     plan_cache_size:
         Trajectories whose compiled plans are kept (true LRU; ``0``
         disables plan caching and recompiles every call).
@@ -344,11 +372,20 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
 
     name = "slice_and_dice_compiled"
 
+    #: accepted ``lane=`` values
+    _LANES = ("auto", "numba-parallel", "numba-serial", "numpy")
+    #: requested lanes that need numba (demoted at construction without it)
+    _NUMBA_LANES = ("auto", "numba-parallel", "numba-serial")
+    #: ``component`` of this engine's lane-demotion events
+    _LANE_COMPONENT = "jit"
+
     def __init__(
         self,
         setup: GriddingSetup,
         tile_size: int = 8,
         backend: str = "bincount",
+        lane: str = "numpy",
+        parallel_threshold: int = 1 << 15,
         plan_cache_size: int = 4,
         table_cache_size: int = 0,
     ):
@@ -364,6 +401,12 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
         if backend == "csr" and _sparse is None:  # pragma: no cover
             raise ImportError("backend='csr' requires scipy")
+        if lane not in self._LANES:
+            raise ValueError(f"lane must be one of {self._LANES}, got {lane!r}")
+        if backend == "csr" and lane != "numpy":
+            raise ValueError(
+                f"backend='csr' runs on the numpy lane only, got lane={lane!r}"
+            )
         if plan_cache_size < 0:
             raise ValueError(
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
@@ -375,6 +418,79 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         #: persistent ``(2, nnz)`` real gather scratch — re-allocated
         #: only when the plan size or dtype changes, never per RHS
         self._entry_scratch: np.ndarray | None = None
+        self.requested_lane = lane
+        self.parallel_threshold = int(parallel_threshold)
+        #: sticky record of every demotion this engine performed
+        self.degradations: tuple[DegradationEvent, ...] = ()
+        self._pending_events: list[DegradationEvent] = []
+        self._used_lane = "numpy"
+        self._lane = lane
+        if lane in self._NUMBA_LANES and not _jit.jit_available():
+            reason = (
+                f"numba disabled via {_jit.JIT_DISABLE_ENV}"
+                if _jit._numba is not None
+                else "numba not importable"
+            )
+            self._demote(lane, reason)
+
+    # ------------------------------------------------------------------
+    # execution lanes: select, launch, demote, stamp
+    # ------------------------------------------------------------------
+    def _record(self, event: DegradationEvent) -> None:
+        self.degradations = self.degradations + (event,)
+        self._pending_events.append(event)
+
+    def _demote(self, lane: str, reason: str) -> None:
+        """Sticky demotion to the NumPy lane: record once, never retry
+        the failed lane on this instance."""
+        self._record(
+            DegradationEvent(self._LANE_COMPONENT, lane, "numpy", reason)
+        )
+        self._lane = "numpy"
+
+    def _select_lane(self, nnz: int) -> str:
+        """The lane an ``nnz``-entry pass runs on."""
+        if nnz == 0:
+            return "numpy"
+        if self._lane == "auto":
+            if nnz >= self.parallel_threshold:
+                return "numba-parallel"
+            return "numba-serial"
+        return self._lane
+
+    def _launch(self, lane: str, direction: str, *args) -> bool:
+        """Run the ``direction`` (``"scatter"``/``"gather"``) kernel of
+        fused lane ``lane`` (see :func:`repro.core.jit.launch`).
+
+        Returns ``False`` after a failure — the lane is then demoted
+        stickily and the caller replays the pass on NumPy.  Fault,
+        dispatch, and compile failures fire before any entry is
+        written, and this engine's NumPy paths overwrite their whole
+        output, so a replay never double-counts.
+        """
+        kernel = direction + (
+            "-parallel" if lane == "numba-parallel" else "-serial"
+        )
+        try:
+            _jit.launch(kernel, *args, jit=lane != "serial")
+        except (KeyboardInterrupt, SystemExit):
+            raise
+        except BaseException as exc:
+            self._demote(lane, repr(exc))
+            return False
+        self._used_lane = lane
+        return True
+
+    def _stamp(self, stats: GriddingStats) -> GriddingStats:
+        """Attach the executed lane and the events fired since the last
+        stamp to a call's freshly built stats."""
+        stats.exec_lane = self._used_lane
+        if self._pending_events:
+            stats.degradations = stats.degradations + tuple(
+                self._pending_events
+            )
+            self._pending_events = []
+        return stats
 
     # ------------------------------------------------------------------
     # plan cache
@@ -459,10 +575,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
         finally:
             self._release_buffer(dice_flat)
-        self.stats = plan_stats(
+        self.stats = self._stamp(plan_stats(
             self.setup.ndim, self.layout.n_columns, coords.shape[0], 1, plan,
             hit, dice_bytes=self._dice_bytes(plan, 1),
-        )
+        ))
 
     def _grid_batch_impl(
         self,
@@ -486,10 +602,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 )
         finally:
             self._release_buffer(dice_flat)
-        self.stats = plan_stats(
+        self.stats = self._stamp(plan_stats(
             self.setup.ndim, self.layout.n_columns, coords.shape[0], k_rhs,
             plan, hit, dice_bytes=self._dice_bytes(plan, k_rhs),
-        )
+        ))
 
     def _apply_grid(
         self, plan: CompiledPlan, values_stack: np.ndarray
@@ -516,8 +632,14 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             return dice_flat
         dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=True)
         try:
-            if plan.nnz:
-                sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
+            sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
+            lane = self._select_lane(plan.nnz)
+            if lane == "numba-parallel":
+                args = (values_stack, sample, flat, wgt, plan.row_starts, dice_flat)
+            else:
+                args = (values_stack, sample, flat, wgt, dice_flat)
+            if lane == "numpy" or not self._launch(lane, "scatter", *args):
+                self._used_lane = "numpy"
                 re, im = self._plan_scratch(plan.nnz)
                 for k in range(k_rhs):
                     # real/imag gathered separately into the persistent
@@ -561,22 +683,17 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             out = self._apply_interp(plan, dice_flat, m)
         finally:
             self._release_buffer(dice_flat)
-        self.stats = plan_stats(
+        self.stats = self._stamp(plan_stats(
             self.setup.ndim, self.layout.n_columns, m, k_rhs, plan, hit,
             dice_bytes=self._dice_bytes(plan, k_rhs),
-        )
+        ))
         return out
 
     def _apply_interp(
         self, plan: CompiledPlan, dice_flat: np.ndarray, m: int
     ) -> np.ndarray:
-        """``(K, m)`` interpolated samples from the raveled dice stack.
-
-        The forward counterpart of :meth:`_apply_grid`, split out so
-        execution-lane subclasses (the numba JIT engine) can replace
-        the arithmetic while inheriting the dice staging, buffer
-        lifecycle, and stats bookkeeping above.
-        """
+        """``(K, m)`` interpolated samples from the raveled dice stack
+        (the forward counterpart of :meth:`_apply_grid`)."""
         k_rhs = dice_flat.shape[0]
         if self.backend == "csr":
             mat_t = plan.csr(self.setup.dtype).T  # CSC view, no copy
@@ -587,8 +704,14 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 out[k] = mat_t @ dice_flat[k]
             return out
         out = np.zeros((k_rhs, m), dtype=self.setup.dtype)
-        if plan.nnz:
-            sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
+        sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
+        lane = self._select_lane(plan.nnz)
+        if lane == "numba-parallel":
+            args = (dice_flat, flat, wgt, *plan.sample_view(), out)
+        else:
+            args = (dice_flat, sample, flat, wgt, out)
+        if lane == "numpy" or not self._launch(lane, "gather", *args):
+            self._used_lane = "numpy"
             re, im = self._plan_scratch(plan.nnz)
             for k in range(k_rhs):
                 np.take(dice_flat[k].real, flat, out=re, mode="clip")
@@ -608,3 +731,33 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             return np.zeros(0, dtype=np.int64)
         plan, _ = self._fetch_plan(coords)
         return plan.flat_idx.copy()
+
+
+class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
+    """``slice_and_dice_jit``: the compiled engine with ``lane="auto"``.
+
+    Same constructor as :class:`CompiledSliceAndDiceGridder`; only the
+    registry name and the default lane differ.
+
+    Examples
+    --------
+    >>> import numpy as np
+    >>> from repro.gridding import GriddingSetup, make_gridder
+    >>> from repro.kernels import KernelLUT, beatty_kernel
+    >>> setup = GriddingSetup((32, 32), KernelLUT(beatty_kernel(6, 2.0), 64))
+    >>> jit = make_gridder("slice_and_dice_jit", setup)
+    >>> ref = make_gridder("slice_and_dice_compiled", setup)
+    >>> rng = np.random.default_rng(0)
+    >>> coords = rng.uniform(0, 32, (100, 2))
+    >>> values = rng.standard_normal(100) + 1j * rng.standard_normal(100)
+    >>> bool(np.allclose(jit.grid(coords, values),
+    ...                  ref.grid(coords, values), rtol=1e-12, atol=0))
+    True
+    >>> jit.stats.exec_lane in ("numba-serial", "numba-parallel", "numpy")
+    True
+    """
+
+    name = "slice_and_dice_jit"
+
+    def __init__(self, setup: GriddingSetup, *args, lane: str = "auto", **kwargs):
+        super().__init__(setup, *args, lane=lane, **kwargs)

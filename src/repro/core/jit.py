@@ -1,12 +1,12 @@
-"""Numba-JIT execution lanes for the compiled scatter-plan engine.
+"""Numba-JIT kernels for the compiled scatter-plan engine's fused lanes.
 
-The compiled engine (:mod:`repro.core.compiled`) already reduced every
-warm call to a gather plus ``bincount`` accumulates over the plan's
+The compiled engine (:mod:`repro.core.compiled`) reduces every warm
+call to a gather plus ``bincount`` accumulates over the plan's
 ``M * W^d`` entries — but that is still three full memory passes per
 RHS per direction (gather, weight-multiply, scatter/segment-sum), with
 a float64 accumulator round-trip forced by ``np.bincount`` regardless
-of the working precision.  This module fuses each direction into a
-single compiled loop over the plan entries:
+of the working precision.  This module holds the loops that fuse each
+direction into a single compiled pass over the plan entries:
 
 - **adjoint** (``scatter``): ``dice[k, flat_idx[e]] +=
   values[k, sample_idx[e]] * weight[e]`` — replaces the real/imag
@@ -20,6 +20,12 @@ slab structure: **rows** for the adjoint (``row_starts`` — each dice
 row is owned by exactly one entry slab, so row-sharded scatters never
 race) and **samples** for the forward (the plan's stable
 :meth:`~repro.core.compiled.CompiledPlan.sample_view`).
+
+The engine side — lane selection, sticky demotion, replay on NumPy,
+and event stamping — lives in
+:class:`~repro.core.CompiledSliceAndDiceGridder` (``lane=``), which
+runs these loops through :func:`launch`.  ``slice_and_dice_jit`` /
+:class:`JitSliceAndDiceGridder` is that engine with ``lane="auto"``.
 
 Numerics
 --------
@@ -36,31 +42,23 @@ back, while the JIT lanes accumulate natively in float32 — the
 difference is bounded by the usual ``O(sqrt(nnz/m)) * eps_f32``
 segment-sum error and gated at NRMSD <= 1e-6 in the identity tests.
 
-Degradation
------------
+Availability
+------------
 numba is an **optional** dependency.  When it is not importable (or
-disabled via ``REPRO_JIT_DISABLE=numba``), the engine constructs fine,
-records a :class:`repro.errors.DegradationEvent` (``jit`` ->
-``numpy``), and runs every call on the parent's pure-NumPy path — same
-supervised-demotion contract as the FFT and worker chains (PR 5).  A
-runtime JIT failure (including the chaos suite's ``jit:scatter`` /
-``jit:gather`` injection sites) demotes stickily the same way and the
-call is transparently re-run on NumPy.  The raw loop bodies below are
-plain Python functions wrapped by ``njit`` only at first use, so this
-module (and the identity tests, on small plans) work without numba
-installed.
+disabled via ``REPRO_JIT_DISABLE=numba``), :func:`jit_available` is
+false and the engine demotes its numba lanes to NumPy with a recorded
+:class:`repro.errors.DegradationEvent`.  :func:`launch` passes the
+chaos suite's ``jit:scatter`` / ``jit:gather`` injection sites before
+dispatch.  The raw loop bodies below are plain Python functions
+wrapped by ``njit`` only at first use, so this module (and the
+identity tests, on small plans) work without numba installed.
 """
 
 from __future__ import annotations
 
 import os
 
-import numpy as np
-
-from ..errors import DegradationEvent
-from ..gridding.base import GriddingSetup
 from ..robustness.faults import fault_point
-from .compiled import CompiledPlan, CompiledSliceAndDiceGridder
 
 try:  # pragma: no cover - exercised via the CI jit job's numba leg
     import numba as _numba
@@ -72,6 +70,7 @@ except ImportError:
 __all__ = [
     "JitSliceAndDiceGridder",
     "jit_available",
+    "launch",
     "numba_version",
     "plan_kernels",
     "scatter_plan_entries",
@@ -170,6 +169,14 @@ def gather_plan_samples(dice_flat, flat_idx, weight, order, starts, out):
             out[k, s] = acc
 
 
+#: the raw loop bodies, keyed like the njit dispatchers of _compiled()
+_RAW = {
+    "scatter-serial": scatter_plan_entries,
+    "scatter-parallel": scatter_plan_rows,
+    "gather-serial": gather_plan_entries,
+    "gather-parallel": gather_plan_samples,
+}
+
 _COMPILED: dict[str, object] | None = None
 
 
@@ -179,16 +186,28 @@ def plan_kernels(jit: bool = True) -> dict[str, object]:
     With ``jit=True`` (and numba importable / not disabled) the
     returned callables are the njit dispatchers of :func:`_compiled`;
     otherwise they are the raw Python loop bodies — same arithmetic in
-    the same order, just interpreted.  The streaming engine uses this
-    to run its per-chunk accumulates on whichever lane is available
-    without duplicating the loop bodies.
+    the same order, just interpreted.
     """
     if jit and jit_available():
         return dict(_compiled())
-    return {
-        "scatter-serial": scatter_plan_entries,
-        "gather-serial": gather_plan_entries,
-    }
+    return dict(_RAW)
+
+
+def launch(kernel: str, *args, jit: bool = True) -> None:
+    """Run one plan kernel (a :func:`plan_kernels` key such as
+    ``"scatter-serial"``) on ``args``.
+
+    ``jit=True`` passes the ``jit:scatter`` / ``jit:gather`` fault site
+    and then runs the njit dispatcher, compiling it on first use;
+    ``jit=False`` runs the raw Python loop body.  Fault, dispatch, and
+    compile failures all raise before any entry is written.
+    """
+    if jit:
+        fault_point("jit:" + kernel.split("-")[0])
+        kernels = _compiled()
+    else:
+        kernels = _RAW
+    kernels[kernel](*args)
 
 
 def _compiled() -> dict[str, object]:
@@ -202,219 +221,17 @@ def _compiled() -> dict[str, object]:
     if _COMPILED is None:
         njit = _numba.njit
         _COMPILED = {
-            "scatter-serial": njit(cache=False)(scatter_plan_entries),
-            "scatter-parallel": njit(parallel=True, cache=False)(
-                scatter_plan_rows
-            ),
-            "gather-serial": njit(cache=False)(gather_plan_entries),
-            "gather-parallel": njit(parallel=True, cache=False)(
-                gather_plan_samples
-            ),
+            name: njit(parallel=name.endswith("-parallel"), cache=False)(body)
+            for name, body in _RAW.items()
         }
     return _COMPILED
 
 
-# ----------------------------------------------------------------------
-# the engine
-# ----------------------------------------------------------------------
+def __getattr__(name: str):
+    # the ``slice_and_dice_jit`` alias lives next to the engine it names
+    # (repro.core.compiled imports this module, so resolve it lazily)
+    if name == "JitSliceAndDiceGridder":
+        from .compiled import JitSliceAndDiceGridder
 
-_LANES = ("auto", "numba-parallel", "numba-serial", "numpy")
-
-
-class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):
-    """Compiled scatter-plan engine with numba-fused execution lanes.
-
-    Identical plan compilation, caching, and staging to
-    :class:`~repro.core.CompiledSliceAndDiceGridder`; only the per-call
-    arithmetic over the plan entries is swapped for the fused loops of
-    this module.  ``stats.exec_lane`` reports the lane every call
-    actually ran on.
-
-    Parameters
-    ----------
-    setup:
-        Shared problem description (same constraints as the parent).
-    tile_size:
-        Virtual tile dimension ``T`` (8 in the paper).
-    lane:
-        ``"auto"`` (default — parallel for plans at or above
-        ``parallel_threshold`` entries, serial below, where thread
-        launch overhead would dominate), ``"numba-parallel"``,
-        ``"numba-serial"``, or ``"numpy"`` (parent path, for A/B
-        comparison).  Requests for a numba lane degrade to ``"numpy"``
-        with a recorded :class:`~repro.errors.DegradationEvent` when
-        numba is unavailable, and stickily on a runtime JIT failure.
-    parallel_threshold:
-        Plan-entry count at which ``lane="auto"`` switches from the
-        serial to the parallel kernels.
-    plan_cache_size / table_cache_size:
-        As in the parent.
-
-    Examples
-    --------
-    >>> import numpy as np
-    >>> from repro.gridding import GriddingSetup, make_gridder
-    >>> from repro.kernels import KernelLUT, beatty_kernel
-    >>> setup = GriddingSetup((32, 32), KernelLUT(beatty_kernel(6, 2.0), 64))
-    >>> jit = make_gridder("slice_and_dice_jit", setup)
-    >>> ref = make_gridder("slice_and_dice_compiled", setup)
-    >>> rng = np.random.default_rng(0)
-    >>> coords = rng.uniform(0, 32, (100, 2))
-    >>> values = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-    >>> bool(np.allclose(jit.grid(coords, values),
-    ...                  ref.grid(coords, values), rtol=1e-12, atol=0))
-    True
-    >>> jit.stats.exec_lane in ("numba-serial", "numba-parallel", "numpy")
-    True
-    """
-
-    name = "slice_and_dice_jit"
-
-    def __init__(
-        self,
-        setup: GriddingSetup,
-        tile_size: int = 8,
-        lane: str = "auto",
-        parallel_threshold: int = 1 << 15,
-        plan_cache_size: int = 4,
-        table_cache_size: int = 0,
-    ):
-        super().__init__(
-            setup,
-            tile_size=tile_size,
-            backend="bincount",
-            plan_cache_size=plan_cache_size,
-            table_cache_size=table_cache_size,
-        )
-        if lane not in _LANES:
-            raise ValueError(f"lane must be one of {_LANES}, got {lane!r}")
-        self.requested_lane = lane
-        self.parallel_threshold = int(parallel_threshold)
-        #: sticky record of every demotion this engine performed
-        self.degradations: tuple[DegradationEvent, ...] = ()
-        self._pending_events: list[DegradationEvent] = []
-        self._used_lane = "numpy"
-        if lane != "numpy" and not jit_available():
-            reason = (
-                f"numba disabled via {JIT_DISABLE_ENV}"
-                if _numba is not None
-                else "numba not importable"
-            )
-            self._record(DegradationEvent("jit", lane, "numpy", reason))
-            self._lane = "numpy"
-        else:
-            self._lane = lane
-
-    # -- supervised demotion -------------------------------------------
-    def _record(self, event: DegradationEvent) -> None:
-        self.degradations = self.degradations + (event,)
-        self._pending_events.append(event)
-
-    def _demote(self, lane: str, exc: BaseException) -> None:
-        """Sticky demotion to the parent's NumPy path (PR 5 contract):
-        record once, never retry the failed lane on this instance."""
-        self._record(DegradationEvent("jit", lane, "numpy", repr(exc)))
-        self._lane = "numpy"
-
-    def _select_lane(self, nnz: int) -> str:
-        if self._lane == "auto":
-            if nnz >= self.parallel_threshold:
-                return "numba-parallel"
-            return "numba-serial"
-        return self._lane
-
-    # -- fused plan execution ------------------------------------------
-    def _apply_grid(
-        self, plan: CompiledPlan, values_stack: np.ndarray
-    ) -> np.ndarray:
-        lane = self._select_lane(plan.nnz)
-        if lane == "numpy" or plan.nnz == 0:
-            self._used_lane = "numpy"
-            return super()._apply_grid(plan, values_stack)
-        k_rhs = values_stack.shape[0]
-        n_flat = plan.n_rows * plan.n_tiles
-        dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=True)
-        try:
-            fault_point("jit:scatter")
-            kernels = _compiled()
-            if lane == "numba-parallel":
-                kernels["scatter-parallel"](
-                    values_stack,
-                    plan.sample_idx,
-                    plan.flat_idx,
-                    plan.weight,
-                    plan.row_starts,
-                    dice_flat,
-                )
-            else:
-                kernels["scatter-serial"](
-                    values_stack,
-                    plan.sample_idx,
-                    plan.flat_idx,
-                    plan.weight,
-                    dice_flat,
-                )
-        except (KeyboardInterrupt, SystemExit):
-            self._release_buffer(dice_flat)
-            raise
-        except BaseException as exc:
-            self._release_buffer(dice_flat)
-            self._demote(lane, exc)
-            self._used_lane = "numpy"
-            return super()._apply_grid(plan, values_stack)
-        self._used_lane = lane
-        return dice_flat
-
-    def _apply_interp(
-        self, plan: CompiledPlan, dice_flat: np.ndarray, m: int
-    ) -> np.ndarray:
-        lane = self._select_lane(plan.nnz)
-        if lane == "numpy" or plan.nnz == 0:
-            self._used_lane = "numpy"
-            return super()._apply_interp(plan, dice_flat, m)
-        out = np.zeros((dice_flat.shape[0], m), dtype=self.setup.dtype)
-        try:
-            fault_point("jit:gather")
-            kernels = _compiled()
-            if lane == "numba-parallel":
-                order, starts = plan.sample_view()
-                kernels["gather-parallel"](
-                    dice_flat, plan.flat_idx, plan.weight, order, starts, out
-                )
-            else:
-                kernels["gather-serial"](
-                    dice_flat, plan.sample_idx, plan.flat_idx, plan.weight, out
-                )
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except BaseException as exc:
-            self._demote(lane, exc)
-            self._used_lane = "numpy"
-            return super()._apply_interp(plan, dice_flat, m)
-        self._used_lane = lane
-        return out
-
-    # -- stats stamping -------------------------------------------------
-    def _stamp_lane(self) -> None:
-        """Attach the executed lane and any degradation events fired
-        since the last stamp to the freshly-built stats (the parent
-        impls replace ``self.stats`` after plan execution)."""
-        self.stats.exec_lane = self._used_lane
-        if self._pending_events:
-            self.stats.degradations = self.stats.degradations + tuple(
-                self._pending_events
-            )
-            self._pending_events = []
-
-    def _grid_impl(self, coords, values, grid) -> None:
-        super()._grid_impl(coords, values, grid)
-        self._stamp_lane()
-
-    def _grid_batch_impl(self, coords, values_stack, out) -> None:
-        super()._grid_batch_impl(coords, values_stack, out)
-        self._stamp_lane()
-
-    def _interp_batch_impl(self, grid_stack, coords) -> np.ndarray:
-        out = super()._interp_batch_impl(grid_stack, coords)
-        self._stamp_lane()
-        return out
+        return JitSliceAndDiceGridder
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

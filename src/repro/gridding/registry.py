@@ -14,14 +14,16 @@ asserts identical output grids).  Registered engines (see
   multicore worker pool (bit-identical to the serial engine),
 - ``"slice_and_dice_compiled"`` — the select pass compiled once per
   trajectory into flat scatter-plan arrays; repeat calls are a gather
-  plus bincount accumulates (bit-identical to the serial engine),
-- ``"slice_and_dice_jit"`` — the compiled plan executed by numba-fused
-  scatter/gather loops when numba is importable (supervised
-  degradation to the pure-NumPy compiled path when it is not),
-- ``"slice_and_dice_streaming"`` — fixed-size sample chunks streamed
-  through per-chunk compiled plans into one pooled dice; peak memory
-  O(chunk + grid) instead of O(M * W^d), with optional pipelined
-  select/scatter overlap.
+  plus bincount accumulates (bit-identical to the serial engine), or
+  numba-fused scatter/gather loops with ``lane=``,
+- ``"slice_and_dice_jit"`` — alias of the compiled engine with
+  ``lane="auto"``: the numba-fused lanes when numba is importable
+  (supervised degradation to the NumPy lane when it is not),
+- ``"slice_and_dice_streaming"`` — fixed-size sample chunks whose
+  window entries are generated in sample order and accumulated into
+  one pooled dice, with no plan compiled or cached; peak memory
+  O(chunk + grid) instead of O(M * W^d), with optional prefetch of the
+  next chunk's entries on a helper thread.
 
 Any Slice-and-Dice engine name also accepts ``chunk_samples=N``:
 :func:`make_gridder` then routes to the streaming engine with the
@@ -147,8 +149,8 @@ def default_gridder() -> str:
 
     ``"slice_and_dice_jit"`` when numba is importable (and not disabled
     via ``REPRO_JIT_DISABLE``), else ``"slice_and_dice_compiled"`` —
-    both run warm calls with zero select work; the JIT engine adds the
-    fused numba scatter/gather lanes.  Checked per call, so environment
+    the same engine either way, with zero select work on warm calls;
+    the ``jit`` name runs it on the fused numba lanes.  Checked per call, so environment
     changes take effect without reimports.
 
     Examples

@@ -66,7 +66,8 @@ The adjoint's correctness argument rests on two facts:
    boundary (``np.bincount`` internally accumulates in float64), so it
    is close-but-not-bit-equal there; the JIT and serial lanes
    accumulate natively in the working dtype in entry order and are
-   bit-identical to the one-shot JIT engine at *both* precisions.
+   bit-identical to the one-shot compiled engine's numba lanes at
+   *both* precisions.
 
 The forward direction is simpler: each chunk owns a disjoint slice of
 the output sample vector, and within a chunk each sample's
@@ -86,12 +87,11 @@ import numpy as np
 
 from ..core.compiled import CompiledSliceAndDiceGridder
 from ..core.decomposition import decompose_coordinates
-from ..core.jit import jit_available, plan_kernels
+from ..core.jit import jit_available
 from ..errors import DegradationEvent
 from ..robustness.checkpoint import StreamCheckpoint
 from ..robustness.faults import (
     corrupt_chunk,
-    fault_point,
     stage_worker_faults,
     worker_fault_point,
 )
@@ -315,10 +315,6 @@ def choose_chunk_samples(
     return max(1, min(chunk, max(m, 1)))
 
 
-#: streaming execution lanes (``auto`` resolves per environment)
-_STREAM_LANES = ("auto", "jit", "numpy", "serial")
-
-
 #: samples per generation block: every per-axis ``(W, block)``
 #: temporary stays cache-resident, and numpy's inner loops run over a
 #: block's samples rather than over the ``W`` candidates
@@ -409,7 +405,9 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         ``"numpy"`` (seeded ``bincount`` — bit-identical to the
         one-shot compiled engine at complex128), or ``"serial"`` (the
         raw Python reference loops — slow, dependency-free, exactly
-        entry-ordered).
+        entry-ordered).  Lane selection, sticky demotion, and event
+        stamping are the compiled engine's; events carry component
+        ``"streaming"``.
     pipelined:
         Generate the next chunk's entries on a prefetch worker thread
         while the current chunk accumulates (two scratch slots instead
@@ -441,6 +439,11 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     """
 
     name = "slice_and_dice_streaming"
+
+    _LANES = ("auto", "jit", "numpy", "serial")
+    #: ``"auto"`` falls back to NumPy per call without an event
+    _NUMBA_LANES = ("jit",)
+    _LANE_COMPONENT = "streaming"
 
     #: cooperative :class:`~repro.robustness.CancelToken` checked once
     #: per chunk; set per call by the owner (the NuFFT plan / service
@@ -474,59 +477,34 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             setup,
             tile_size=tile_size,
             backend="bincount",
+            lane=lane,
             plan_cache_size=0,
             table_cache_size=0,
         )
-        if lane not in _STREAM_LANES:
-            raise ValueError(f"lane must be one of {_STREAM_LANES}, got {lane!r}")
         self.chunk_samples = _check_chunk_samples(chunk_samples)
-        self.requested_lane = lane
         self.pipelined = bool(pipelined)
-        #: sticky record of every demotion this engine performed
-        self.degradations: tuple[DegradationEvent, ...] = ()
-        self._pending_events: list[DegradationEvent] = []
         #: sticky pipelining health — a failed prefetch worker disables
         #: pipelining for the life of the instance, never mid-retries it
         self._pipeline_ok = True
-        self._used_lane = ""
         self._candidates = self._candidate_tables()
         self._reset_scratch()
-        if lane == "jit" and not jit_available():
-            self._record(
-                DegradationEvent(
-                    "streaming", "jit", "numpy",
-                    "numba not importable or disabled",
-                )
-            )
-            self._lane = "numpy"
-        else:
-            self._lane = lane
 
     # ------------------------------------------------------------------
-    # lanes + demotion
+    # lanes + pipeline demotion
     # ------------------------------------------------------------------
-    def _record(self, event: DegradationEvent) -> None:
-        self.degradations = self.degradations + (event,)
-        self._pending_events.append(event)
-
-    def _resolve_lane(self) -> str:
+    def _select_lane(self, nnz: int) -> str:
+        """``"jit"`` (and ``"auto"`` while numba imports) run the serial
+        kernel: chunk entries are in sample order, not the row-major
+        order the parallel scatter shards on."""
         if self._lane == "auto":
-            return "jit" if jit_available() else "numpy"
-        return self._lane
-
-    def _demote_lane(self, lane: str, exc: BaseException) -> None:
-        self._record(DegradationEvent("streaming", lane, "numpy", repr(exc)))
-        self._lane = "numpy"
+            return "numba-serial" if jit_available() else "numpy"
+        return "numba-serial" if self._lane == "jit" else self._lane
 
     def _demote_pipeline(self, exc: BaseException) -> None:
         self._record(
             DegradationEvent("streaming", "pipelined", "unpipelined", repr(exc))
         )
         self._pipeline_ok = False
-
-    @staticmethod
-    def _lane_label(lane: str) -> str:
-        return "numba-serial" if lane == "jit" else lane
 
     def invalidate_cache(self) -> None:
         super().invalidate_cache()
@@ -732,6 +710,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         whose first ``n_flat`` entries re-deposit the current dice
         values, so every per-word partial-sum chain continues the
         one-shot chain exactly (bit-identical at complex128)."""
+        self._used_lane = "numpy"
         n_flat = dice_flat.shape[1]
         aug_wgt = self._weight_scratch(n_flat + entries.nnz)
         seed, suffix = aug_wgt[:n_flat], aug_wgt[n_flat:]
@@ -749,42 +728,26 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     def _scatter_chunk(
         self, entries: ChunkEntries, values_stack: np.ndarray, dice_flat: np.ndarray
     ) -> None:
-        """Accumulate one chunk's entries into the persistent dice."""
+        """Accumulate one chunk's entries into the persistent dice.
+
+        Fault, dispatch, and compile failures of a fused launch fire
+        before any entry is written (:meth:`_launch`), so the NumPy
+        replay cannot double-count into the dice earlier chunks share."""
         if entries.nnz == 0:
-            self._used_lane = self._used_lane or "numpy"
             return
-        lane = self._resolve_lane()
-        if lane in ("jit", "serial"):
-            try:
-                if lane == "jit":
-                    fault_point("jit:scatter")
-                kern = plan_kernels(jit=(lane == "jit"))["scatter-serial"]
-                kern(
-                    values_stack, self._samples(entries), entries.flat,
-                    entries.weight, dice_flat,
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                # dispatch/compile failures (and the injected jit fault)
-                # fire before any entry is written, so the chunk can be
-                # replayed on the NumPy lane without double-counting
-                self._demote_lane(lane, exc)
-                self._scatter_chunk_numpy(entries, values_stack, dice_flat)
-                self._used_lane = "numpy"
-                return
-            self._used_lane = self._lane_label(lane)
-            return
-        self._scatter_chunk_numpy(entries, values_stack, dice_flat)
-        self._used_lane = "numpy"
+        lane = self._select_lane(entries.nnz)
+        if lane == "numpy" or not self._launch(
+            lane, "scatter", values_stack, self._samples(entries),
+            entries.flat, entries.weight, dice_flat,
+        ):
+            self._scatter_chunk_numpy(entries, values_stack, dice_flat)
 
     def _gather_chunk_numpy(
-        self, entries: ChunkEntries, dice_flat: np.ndarray
-    ) -> np.ndarray:
+        self, entries: ChunkEntries, dice_flat: np.ndarray, out: np.ndarray
+    ) -> None:
         """Gather, weight, and segment-sum keyed by sample; per sample
         the ``bincount`` adds in ascending row order (the serial order)."""
-        m = entries.m
-        out = np.empty((dice_flat.shape[0], m), dtype=self.setup.dtype)
+        self._used_lane = "numpy"
         sample = self._samples(entries)
         buf = self._weight_scratch(entries.nnz)
         for k in range(dice_flat.shape[0]):
@@ -794,36 +757,22 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             ):
                 np.take(dice_part, entries.flat, out=buf, mode="clip")
                 buf *= entries.weight
-                out_part[...] = np.bincount(sample, weights=buf, minlength=m)
-        return out
+                out_part[...] = np.bincount(
+                    sample, weights=buf, minlength=entries.m
+                )
 
     def _gather_chunk(
         self, entries: ChunkEntries, dice_flat: np.ndarray
     ) -> np.ndarray:
         """One chunk's forward interpolation: ``(K, m_chunk)``."""
-        lane = self._resolve_lane()
-        if entries.nnz and lane in ("jit", "serial"):
-            out = np.zeros(
-                (dice_flat.shape[0], entries.m), dtype=self.setup.dtype
-            )
-            try:
-                if lane == "jit":
-                    fault_point("jit:gather")
-                kern = plan_kernels(jit=(lane == "jit"))["gather-serial"]
-                kern(
-                    dice_flat, self._samples(entries), entries.flat,
-                    entries.weight, out,
-                )
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except BaseException as exc:
-                self._demote_lane(lane, exc)
-                self._used_lane = "numpy"
-                return self._gather_chunk_numpy(entries, dice_flat)
-            self._used_lane = self._lane_label(lane)
-            return out
-        self._used_lane = "numpy"
-        return self._gather_chunk_numpy(entries, dice_flat)
+        out = np.zeros((dice_flat.shape[0], entries.m), dtype=self.setup.dtype)
+        lane = self._select_lane(entries.nnz)
+        if lane == "numpy" or not self._launch(
+            lane, "gather", dice_flat, self._samples(entries),
+            entries.flat, entries.weight, out,
+        ):
+            self._gather_chunk_numpy(entries, dice_flat, out)
+        return out
 
     # ------------------------------------------------------------------
     # chunk iteration + pipelined entry prefetch
@@ -972,13 +921,6 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             ),
         )
 
-    def _finalize_stats(self, total: GriddingStats) -> None:
-        total.exec_lane = self._used_lane or "numpy"
-        if self._pending_events:
-            total.degradations = total.degradations + tuple(self._pending_events)
-            self._pending_events = []
-        self.stats = total
-
     # ------------------------------------------------------------------
     # template-method impls (array path, chunked internally)
     # ------------------------------------------------------------------
@@ -989,7 +931,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         total = self._stream_into_dice(
             self._array_chunks(coords, values_stack), k_rhs, out
         )
-        self._finalize_stats(total)
+        self.stats = self._stamp(total)
 
     def _grid_impl(
         self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray
@@ -1026,7 +968,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
                 lo += m_c
         finally:
             self._release_buffer(dice_flat)
-        self._finalize_stats(total)
+        self.stats = self._stamp(total)
         return out
 
     def _stream_into_dice(self, chunk_iter, k_rhs: int, out: np.ndarray):
@@ -1186,8 +1128,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         shape = self.setup.grid_shape
         if first is None:
             grid = self._out_grid(out, shape)
-            self.stats = GriddingStats()
-            self._finalize_stats(self.stats)
+            self.stats = self._stamp(GriddingStats())
             self._tag_stats()
             return grid
 
@@ -1209,7 +1150,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             grid_out = out[None] if not batched else out
         total = self._stream_into_dice(chunks_with_first(), k_rhs, grid_out)
         total.quality = total_quality
-        self._finalize_stats(total)
+        self.stats = self._stamp(total)
         self._tag_stats()
         return grid_out if batched else grid_out[0]
 
@@ -1266,7 +1207,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             finally:
                 self._release_buffer(dice_flat)
                 total.quality = total_quality
-                self._finalize_stats(total)
+                self.stats = self._stamp(total)
                 self._tag_stats()
 
         return run()

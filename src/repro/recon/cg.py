@@ -8,10 +8,10 @@ equations
 with CG, where ``A`` is the forward NuFFT.  This is the §I "iterative
 image reconstruction" workload — each iteration costs a
 forward + adjoint NuFFT pair, which is exactly why the paper cares
-about gridding throughput.  Passing ``normal="toeplitz"`` (or the
-legacy ``toeplitz=True``) swaps the per-iteration NuFFT pair for the
-FFT-only :class:`~repro.nufft.ToeplitzNormalOperator` (Impatient's
-strategy [10]): gridding is then paid only once, up front.
+about gridding throughput.  Passing ``normal="toeplitz"`` swaps the
+per-iteration NuFFT pair for the FFT-only
+:class:`~repro.nufft.ToeplitzNormalOperator` (Impatient's strategy
+[10]): gridding is then paid only once, up front.
 """
 
 from __future__ import annotations
@@ -31,19 +31,6 @@ __all__ = ["CgResult", "cg_reconstruction"]
 #: this length is treated as "stuck".
 _STAGNATION_WINDOW = 8
 _STAGNATION_RTOL = 1e-12
-
-
-def _resolve_normal(normal: str | None, toeplitz: bool) -> str:
-    """Reconcile the ``normal=`` name with the legacy ``toeplitz`` flag."""
-    if normal is None:
-        return "toeplitz" if toeplitz else "gridding"
-    if normal not in ("gridding", "toeplitz"):
-        raise ValueError(
-            f"normal must be 'gridding' or 'toeplitz', got {normal!r}"
-        )
-    if toeplitz and normal == "gridding":
-        raise ValueError("normal='gridding' conflicts with toeplitz=True")
-    return normal
 
 
 def _plan_cdtype(plan) -> np.dtype:
@@ -178,8 +165,7 @@ def cg_reconstruction(
     n_iterations: int = 20,
     tolerance: float = 1e-6,
     regularization: float = 0.0,
-    toeplitz: bool = False,
-    normal: str | None = None,
+    normal: str = "gridding",
     normal_options: dict | None = None,
     cancel: "object | None" = None,
 ) -> CgResult:
@@ -212,9 +198,6 @@ def cg_reconstruction(
         Relative residual stopping criterion.
     regularization:
         Tikhonov ``lambda`` (>= 0).
-    toeplitz:
-        Legacy boolean for ``normal="toeplitz"`` (kept for
-        backwards compatibility; prefer ``normal``).
     normal:
         How to apply the normal operator ``A^H W A`` each iteration:
         ``"gridding"`` (default) runs a forward+adjoint NuFFT pair;
@@ -250,7 +233,10 @@ def cg_reconstruction(
     has shape ``(K,) + image_shape`` and the residual history records
     the worst (max) relative residual across systems.
     """
-    normal = _resolve_normal(normal, toeplitz)
+    if normal not in ("gridding", "toeplitz"):
+        raise ValueError(
+            f"normal must be 'gridding' or 'toeplitz', got {normal!r}"
+        )
     kspace = np.asarray(kspace, dtype=_plan_cdtype(plan))
     if kspace.ndim == 2:
         return _cg_reconstruction_batched(

@@ -152,8 +152,8 @@ class JobSpec:
     weights: np.ndarray | None = None
     method: str = "cg"
     # ---- plan-shaped options (part of the warm-cache key) ----
-    # default resolves per environment: the numba JIT engine when
-    # importable, else the pure-NumPy compiled engine — so a numba-less
+    # default resolves per environment: the compiled engine on its numba
+    # lanes when importable, else on its NumPy lane — so a numba-less
     # deployment serves the same API with zero per-job degradation noise
     gridder: str = field(default_factory=default_gridder)
     gridder_options: dict = field(default_factory=dict)

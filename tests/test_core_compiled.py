@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro.core.jit
 from repro.core import (
     CompiledSliceAndDiceGridder,
     ParallelSliceAndDiceGridder,
@@ -18,6 +19,7 @@ from repro.core import (
 )
 from repro.gridding import GriddingSetup, make_gridder
 from repro.kernels import KernelLUT, beatty_kernel
+from repro.robustness import inject_faults
 from tests.conftest import random_samples
 
 PARALLEL_KW = {"workers": 2, "backend": "thread", "min_parallel_ops": 0}
@@ -113,6 +115,49 @@ class TestCsrBackend:
     def test_invalid_backend_rejected(self, tiny_setup):
         with pytest.raises(ValueError, match="backend"):
             CompiledSliceAndDiceGridder(tiny_setup, backend="dense")
+
+
+# ----------------------------------------------------------------------
+# execution lanes: the numba lanes run inside the compiled engine
+# ----------------------------------------------------------------------
+class TestExecutionLanes:
+    def test_injected_jit_fault_demotes_stickily(self, small_setup, rng, monkeypatch):
+        """numba "available" (fake module object): the injected
+        jit:scatter fault fires before dispatch, the call replays on
+        NumPy, and the lane never comes back — one "jit" event."""
+        monkeypatch.setattr(repro.core.jit, "_numba", object())
+        monkeypatch.delenv(repro.core.jit.JIT_DISABLE_ENV, raising=False)
+        coords, values = random_samples(rng, 300, small_setup.grid_shape)
+        grid = random_grid_stack(rng, 1, small_setup.grid_shape)[0]
+        com = CompiledSliceAndDiceGridder(small_setup, lane="numba-serial")
+        ref = CompiledSliceAndDiceGridder(small_setup, lane="numpy")
+        assert com.degradations == ()
+        with inject_faults(jit_errors=1) as inj:
+            out = com.grid(coords, values)
+            assert inj.jit_errors == 0
+        np.testing.assert_allclose(
+            out, ref.grid(coords, values), rtol=1e-12, atol=0
+        )
+        assert com.stats.exec_lane == "numpy"
+        assert len(com.stats.degradations) == 1
+        # sticky: the fake numba would fail to compile if the lane were
+        # retried, which would record a second event
+        np.testing.assert_allclose(
+            com.interp(grid, coords), ref.interp(grid, coords),
+            rtol=1e-12, atol=0,
+        )
+        assert com.stats.exec_lane == "numpy"
+        assert com.stats.degradations == ()
+        assert len(com.degradations) == 1
+        event = com.degradations[0]
+        assert event.component == "jit"
+        assert (event.from_stage, event.to_stage) == ("numba-serial", "numpy")
+        assert "InjectedFault" in event.reason
+
+    @pytest.mark.parametrize("lane", ("auto", "numba-serial", "numba-parallel"))
+    def test_csr_rejects_numba_lanes(self, small_setup, lane):
+        with pytest.raises(ValueError, match="csr"):
+            CompiledSliceAndDiceGridder(small_setup, backend="csr", lane=lane)
 
 
 # ----------------------------------------------------------------------

@@ -73,7 +73,7 @@ class TestBitIdentity:
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
-        # second pass hits the per-chunk plan cache — still identical
+        # second pass reuses the persistent entry scratch — still identical
         assert np.array_equal(
             stm.grid(coords, values), ref.grid(coords, values)
         )
@@ -451,22 +451,22 @@ class TestMemory:
         peak for the pass (same order of magnitude, never under by more
         than the fixed interpreter noise floor)."""
         coords, values = random_samples(rng, 3000, small_setup.grid_shape)
-        # 3000 samples / 256-sample chunks = 12 chunk plans; the cache
-        # must hold all of them or the "warm" pass still recompiles and
-        # the allocator sees compile transients we do not account for
+        # 3000 samples / 256-sample chunks = 12 chunks; entries are
+        # generated per chunk and never cached (plan_cache_size has no
+        # effect), so the warm pass only reuses the entry scratch
         stm = make_gridder(
             "slice_and_dice_streaming",
             small_setup,
             chunk_samples=256,
             plan_cache_size=16,
         )
-        stm.grid(coords, values)  # warm the plan cache + scratch
+        stm.grid(coords, values)  # warm the entry scratch
         tracemalloc.start()
         tracemalloc.reset_peak()
         stm.grid(coords, values)
         _, traced_peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
-        # warm pass: plans cached, scratch persistent — the transient
+        # warm pass: scratch persistent, entries regenerated — the transient
         # peak the allocator sees must not exceed what we report plus
         # a small slack for interpreter internals
         assert traced_peak <= stm.stats.peak_bytes + 1_000_000, (

@@ -144,7 +144,7 @@ class TestCgRecon:
     def test_toeplitz_matches_direct(self, radial_problem):
         plan, _, kspace = radial_problem
         direct = cg_reconstruction(plan, kspace, n_iterations=6)
-        fast = cg_reconstruction(plan, kspace, n_iterations=6, toeplitz=True)
+        fast = cg_reconstruction(plan, kspace, n_iterations=6, normal="toeplitz")
         assert rel_l2_error(fast.image, direct.image) < 0.02
 
     def test_regularization_shrinks_solution(self, radial_problem):

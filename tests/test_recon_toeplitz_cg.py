@@ -20,7 +20,7 @@ import pytest
 
 from repro.mri import SenseOperator, birdcage_maps, sense_reconstruction
 from repro.nudft import NudftOperator
-from repro.nufft import NufftPlan, ToeplitzGram, ToeplitzNormalOperator
+from repro.nufft import NufftPlan, ToeplitzNormalOperator
 from repro.recon import cg_reconstruction
 from repro.trajectories import (
     radial_trajectory,
@@ -132,9 +132,6 @@ class TestNufftPsfConsistency:
             errs.append(np.max(np.abs(gram.apply(x) - explicit)))
         assert errs[1] < errs[0]
 
-    def test_backcompat_alias(self):
-        assert ToeplitzGram is ToeplitzNormalOperator
-
     def test_rejects_bad_psf_and_shapes(self):
         coords = radial_trajectory(8, 16)
         plan = NufftPlan((16, 16), coords)
@@ -194,16 +191,6 @@ class TestCgIntegration:
         v = np.ones(coords.shape[0], dtype=complex)
         with pytest.raises(ValueError, match="normal"):
             cg_reconstruction(plan, v, normal="magic")
-        with pytest.raises(ValueError, match="conflicts"):
-            cg_reconstruction(plan, v, normal="gridding", toeplitz=True)
-
-    def test_toeplitz_bool_backcompat(self):
-        coords = radial_trajectory(12, 24)
-        plan = NufftPlan((16, 16), coords)
-        kspace = plan.forward(_rand_image((16, 16), seed=10))
-        old = cg_reconstruction(plan, kspace, n_iterations=5, toeplitz=True)
-        new = cg_reconstruction(plan, kspace, n_iterations=5, normal="toeplitz")
-        np.testing.assert_allclose(old.image, new.image, rtol=1e-12, atol=1e-12)
 
     def test_cg_images_agree_across_normal_operators(self):
         # high-accuracy plan so the two normal operators differ by much

@@ -2,10 +2,10 @@
 """Trajectory gridding benchmark with a committed regression baseline.
 
 Times warm (table-/plan-cache hit) and cold gridding for the serial
-engine, both compiled-plan backends, and the numba JIT engine (which
-degrades to the NumPy lane when numba is absent — the record's
-``exec_lane`` field says which lane actually ran) on a fixed random
-trajectory, then **appends** one record per engine to
+engine, both compiled-plan backends, and ``slice_and_dice_jit`` (the
+compiled engine on its numba lanes, which degrade to the NumPy lane
+when numba is absent — the record's ``exec_lane`` field says which
+lane actually ran) on a fixed random trajectory, then **appends** one record per engine to
 ``BENCH_gridding.json`` at the repository root.  The committed file
 doubles as the regression baseline: ``--check`` compares each engine's
 warm speedup over the serial engine against the last committed record
