@@ -76,7 +76,7 @@ def main() -> None:
     # hardware path: JIGSAW's (Nz*, N*, N*) grid -> same FFT + crop + apod;
     # the simulator's z-axis is axis 0 of its output, matching plan3
     spectrum = np.fft.ifftn(res.grid) * res.grid.size
-    hw = plan3._apodize(plan3._crop(spectrum))
+    hw = plan3._fused_crop_deapodize(spectrum)
     print(f"NRMSD(fixed-point recon vs double recon): "
           f"{nrmsd_percent(hw, ref):.4f} %")
 

@@ -76,13 +76,7 @@ import numpy as np
 from ..errors import DegradationEvent, EngineFailure
 from ..gridding.base import GriddingSetup, GriddingStats
 from ..robustness.faults import stage_worker_faults, worker_fault_point
-from .slice_and_dice import SliceAndDiceGridder, TableFetch
-from .compiled import (
-    CompiledSliceAndDiceGridder,
-    plan_grid_rows,
-    plan_interp_samples,
-    plan_stats,
-)
+from .slice_and_dice import SliceAndDiceGridder
 
 try:  # pragma: no cover - present since Python 3.8, but degrade anyway
     from multiprocessing import shared_memory as _shared_memory
@@ -201,17 +195,6 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
         Process-backend passes retried after a worker crash or timeout
         before degrading to threads (default 1; ``0`` degrades on the
         first failure).
-    inner_engine:
-        What each worker runs on its shard: ``"columns"`` (default) —
-        the streaming column scan — or ``"compiled"`` — slices of a
-        trajectory-compiled scatter plan
-        (:class:`repro.core.compiled.CompiledSliceAndDiceGridder`).
-        With ``"compiled"``, gridding workers own contiguous *row
-        slabs* of the row-major plan (``row_starts`` gives each slab's
-        plan slice) and interpolation workers own contiguous *sample
-        slabs* via the plan's stable sample-major view — both
-        bit-identical to the serial engines, and iteration 2+ on a
-        cached trajectory does zero select work in every worker.
     table_cache_size:
         Trajectory-keyed select-table cache size (see the serial class).
 
@@ -248,7 +231,6 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
         workers: int | str = "auto",
         backend: str = "auto",
         min_parallel_ops: int = 1 << 16,
-        inner_engine: str = "columns",
         table_cache_size: int = 4,
         worker_timeout: float | None = None,
         max_retries: int = 1,
@@ -271,10 +253,6 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
             )
         if min_parallel_ops < 0:
             raise ValueError(f"min_parallel_ops must be >= 0, got {min_parallel_ops}")
-        if inner_engine not in ("columns", "compiled"):
-            raise ValueError(
-                f"inner_engine must be 'columns' or 'compiled', got {inner_engine!r}"
-            )
         if worker_timeout is not None and not worker_timeout > 0:
             raise ValueError(
                 f"worker_timeout must be positive or None, got {worker_timeout}"
@@ -284,22 +262,8 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
         self.workers = workers
         self.backend = backend
         self.min_parallel_ops = int(min_parallel_ops)
-        self.inner_engine = inner_engine
         self.worker_timeout = None if worker_timeout is None else float(worker_timeout)
         self.max_retries = int(max_retries)
-        # plan provider for inner_engine="compiled": reuses the compiled
-        # engine's plan cache/fingerprint machinery; its stats are unused
-        self._plan_source = (
-            CompiledSliceAndDiceGridder(setup, tile_size=tile_size)
-            if inner_engine == "compiled"
-            else None
-        )
-
-    def invalidate_cache(self) -> None:
-        """Drop cached select tables and (if compiled) cached plans."""
-        super().invalidate_cache()
-        if self._plan_source is not None:
-            self._plan_source.invalidate_cache()
 
     # ------------------------------------------------------------------
     # schedule resolution
@@ -517,42 +481,12 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
     # ------------------------------------------------------------------
     # gridding (adjoint): shard the columns
     # ------------------------------------------------------------------
-    def _set_pass_stats(self, m: int, n_rhs: int, interpolations: int, meta) -> None:
-        """Per-call stats from either inner engine's fetch metadata.
-
-        ``meta`` is the :class:`TableFetch` of a ``"columns"`` pass or
-        the ``(CompiledPlan, hit)`` pair of a ``"compiled"`` pass.
-        """
-        if isinstance(meta, TableFetch):
-            self._fill_stats(
-                m,
-                n_rhs=n_rhs,
-                interpolations=interpolations,
-                lane_slots=m * self.layout.n_columns,
-                fetch=meta,
-            )
-        else:
-            plan_obj, hit = meta
-            self.stats = plan_stats(
-                self.setup.ndim, self.layout.n_columns, m, n_rhs, plan_obj,
-                hit,
-                dice_bytes=(
-                    n_rhs * plan_obj.n_rows * plan_obj.n_tiles
-                    * self.setup.dtype.itemsize
-                ),
-            )
-
     def _run_grid(self, coords: np.ndarray, values_stack: np.ndarray):
         """Column-sharded dice accumulation for a ``(K, M)`` value stack.
 
-        Returns ``(dice, interpolations, meta, shards, backend,
-        seconds, events)`` — ``meta`` as in :meth:`_set_pass_stats`,
-        ``events`` the pass' recorded degradations.  With
-        ``inner_engine="compiled"`` each worker accumulates its row
-        slab's contiguous slice of the row-major scatter plan instead
-        of scanning columns; the slab outputs are the same disjoint
-        dice rows, so the ownership (and bit-identity) argument is
-        unchanged.
+        Returns ``(dice, interpolations, fetch, shards, backend,
+        seconds, events)`` — ``fetch`` the pass' :class:`TableFetch`,
+        ``events`` its recorded degradations.
         """
         m = coords.shape[0]
         n_rows = self.layout.n_columns
@@ -560,27 +494,6 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
         n_workers = self._resolve_workers(n_rows)
         backend = self._resolve_backend()
         out_shape = (k_rhs, n_rows, self.layout.n_tiles)
-
-        if self.inner_engine == "compiled":
-            plan_obj, hit = self._plan_source._fetch_plan(coords)
-            if self._serial_fallback(m, n_workers, backend):
-                t0 = time.perf_counter()
-                dice = np.zeros(out_shape, dtype=self.setup.dtype)
-                interpolations = plan_grid_rows(
-                    plan_obj, values_stack, dice, 0, n_rows
-                )
-                return dice, interpolations, (plan_obj, hit), ((0, n_rows),), \
-                    "serial", (time.perf_counter() - t0,), ()
-            shards = shard_plan(n_rows, n_workers)
-
-            def work(out, row_lo, row_hi):
-                return plan_grid_rows(plan_obj, values_stack, out, row_lo, row_hi)
-
-            dice, interpolations, seconds, backend, events = self._dispatch(
-                work, out_shape, shards, backend
-            )
-            return dice, interpolations, (plan_obj, hit), shards, backend, \
-                seconds, events
 
         if self._serial_fallback(m, n_workers, backend):
             t0 = time.perf_counter()
@@ -603,11 +516,13 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
         return dice, interpolations, fetch, shards, backend, seconds, events
 
     def _grid_impl(self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray) -> None:
-        dice, interpolations, meta, shards, backend, seconds, events = self._run_grid(
+        m = coords.shape[0]
+        dice, interpolations, fetch, shards, backend, seconds, events = self._run_grid(
             coords, values[None, :]
         )
         grid += self.layout.dice_to_grid(dice[0])
-        self._set_pass_stats(coords.shape[0], 1, interpolations, meta)
+        self._fill_stats(m, n_rhs=1, interpolations=interpolations,
+                         lane_slots=m * self.layout.n_columns, fetch=fetch)
         self._annotate(shards, backend, seconds, events)
 
     def _grid_batch_impl(
@@ -626,13 +541,14 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
         :mod:`multiprocessing.shared_memory`, which a regular
         in-process buffer pool cannot hand out.
         """
-        k_rhs = values_stack.shape[0]
-        dice, interpolations, meta, shards, backend, seconds, events = self._run_grid(
+        m, k_rhs = coords.shape[0], values_stack.shape[0]
+        dice, interpolations, fetch, shards, backend, seconds, events = self._run_grid(
             coords, values_stack
         )
         for k in range(k_rhs):
             out[k] = self.layout.dice_to_grid(dice[k])
-        self._set_pass_stats(coords.shape[0], k_rhs, interpolations, meta)
+        self._fill_stats(m, n_rhs=k_rhs, interpolations=interpolations,
+                         lane_slots=m * self.layout.n_columns, fetch=fetch)
         self._annotate(shards, backend, seconds, events)
 
     # ------------------------------------------------------------------
@@ -656,22 +572,10 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
         for k in range(k_rhs):
             dice[k] = self.layout.grid_to_dice(grid_stack[k])
 
-        if self.inner_engine == "compiled":
-            plan_obj, hit = self._plan_source._fetch_plan(coords)
-            meta = (plan_obj, hit)
-            dice_flat = dice.reshape(k_rhs, -1)
-            # materialize the sample-major view once, pre-dispatch:
-            # workers then share it read-only (copy-on-write under fork)
-            plan_obj.sample_view()
+        tables, fetch = self._fetch_tables(coords)
 
-            def stream(out, lo, hi):
-                return plan_interp_samples(plan_obj, dice_flat, out, lo, hi)
-
-        else:
-            tables, meta = self._fetch_tables(coords)
-
-            def stream(out, lo, hi):
-                return self._interp_stream(tables, dice, out, lo, hi)
+        def stream(out, lo, hi):
+            return self._interp_stream(tables, dice, out, lo, hi)
 
         n_workers = self._resolve_workers(m)
         backend = self._resolve_backend()
@@ -687,20 +591,17 @@ class ParallelSliceAndDiceGridder(SliceAndDiceGridder):
                 stream, (k_rhs, m), shards, backend
             )
 
-        if isinstance(meta, TableFetch):
-            self.stats = GriddingStats(
-                boundary_checks=m * self.layout.n_columns,
-                interpolations=interpolations * k_rhs,
-                samples_processed=m,
-                presort_operations=0,
-                grid_accesses=interpolations * k_rhs,
-                lut_lookups=interpolations * self.setup.ndim,
-                cache_hits=1 if meta.hit else 0,
-                cache_misses=0 if meta.hit else 1,
-                table_build_seconds=meta.build_seconds,
-                table_bytes=meta.table_bytes,
-            )
-        else:
-            self._set_pass_stats(m, k_rhs, interpolations, meta)
+        self.stats = GriddingStats(
+            boundary_checks=m * self.layout.n_columns,
+            interpolations=interpolations * k_rhs,
+            samples_processed=m,
+            presort_operations=0,
+            grid_accesses=interpolations * k_rhs,
+            lut_lookups=interpolations * self.setup.ndim,
+            cache_hits=1 if fetch.hit else 0,
+            cache_misses=0 if fetch.hit else 1,
+            table_build_seconds=fetch.build_seconds,
+            table_bytes=fetch.table_bytes,
+        )
         self._annotate(shards, backend, seconds, events)
         return out

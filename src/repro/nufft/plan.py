@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import time
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +45,9 @@ class NufftTimings:
 
     ``peak_bytes`` counts the full-grid (oversampled, working-dtype)
     transient allocations the transform performed: buffer-pool misses
-    plus the FFT output and any non-pooled grid temporaries.  Warm
-    pooled calls drop this to the single unavoidable FFT output, which
-    is how the fused path's "two fewer grid temporaries per
-    forward/adjoint pair" is asserted in the tests — and how the
+    plus the FFT output.  Warm pooled calls drop this to the single
+    unavoidable FFT output, which is how the fused pipeline's "one grid
+    temporary per transform" is asserted in the tests — and how the
     ``precision="single"`` lane's "no complex128 full-grid temporaries"
     claim is asserted (a complex64 grid is half the bytes).
     """
@@ -69,10 +67,8 @@ class NufftTimings:
     #: FFT degradation events recorded so far on this plan's fallback
     #: chain (sticky — once demoted, every later call lists the event)
     fft_fallbacks: tuple = ()
-    #: precision lane of the plan (``double``/``single``/``simulate-single``)
+    #: precision lane of the plan (``double``/``single``)
     precision: str = "double"
-    #: whether the fused apodize+pad / crop+deapodize path executed
-    fused: bool = False
     #: short window-kernel identifier of the plan (``kb``/``es``/...)
     kernel: str = ""
     #: execution lane the gridding arithmetic ran on (``numpy`` /
@@ -134,21 +130,14 @@ class NufftPlan:
         ``{"workers": 4, "backend": "process"}`` for
         ``"slice_and_dice_parallel"``.
     precision:
-        ``"double"`` (default), ``"single"``, or ``"simulate-single"``.
-        ``"single"`` is a true complex64 compute lane matching the
-        paper's GPU implementations ("The GPU implementation of
-        Slice-and-Dice uses single-precision floating-point values to
-        closely match the prior work", §V): the gridder, buffer pool,
-        FFT, and apodization all carry ``complex64``/``float32`` data
-        end to end — half the memory traffic of double, with the fused
-        path fully enabled.  ``"simulate-single"`` is the legacy
-        stepwise comparator: everything computes in complex128 but
-        inputs, the gridded array, and the FFT output are *rounded* to
-        complex64 at each step boundary (fused path disabled, since the
-        rounding points only exist on the legacy pipeline) — kept
-        bit-for-bit for reproducing the historical Fig. 9 error-floor
-        numbers.  Coordinates stay float64 in every lane so all three
-        select identical window hit sets.
+        ``"double"`` (default) or ``"single"``.  ``"single"`` is a true
+        complex64 compute lane matching the paper's GPU implementations
+        ("The GPU implementation of Slice-and-Dice uses single-precision
+        floating-point values to closely match the prior work", §V):
+        the gridder, buffer pool, FFT, and apodization all carry
+        ``complex64``/``float32`` data end to end — half the memory
+        traffic of double.  Coordinates stay float64 in both lanes so
+        they select identical window hit sets.
     fft_backend:
         FFT implementation for the oversampled-grid transforms:
         ``"auto"`` (default — SciPy's multithreaded pocketfft when
@@ -157,23 +146,14 @@ class NufftPlan:
         or an :class:`~repro.nufft.fft_backend.FftBackend` instance.
         Per the paper's Amdahl analysis (§VII, Fig. 7) the host FFT
         dominates once gridding is accelerated, so this stage is the
-        one worth making pluggable.
+        one worth making pluggable.  The backend is always wrapped in a
+        :class:`~repro.nufft.fft_backend.FallbackFftBackend`, so a
+        runtime FFT failure degrades (sticky) down the chain of
+        available backends ending at ``numpy`` instead of aborting the
+        transform; demotions appear in ``plan.timings.fft_fallbacks``.
     fft_workers:
         Worker threads for multithreaded backends (default: all
         cores).  Ignored by ``numpy``.
-    fused:
-        Fuse apodization with zero-padding (forward) and cropping
-        (adjoint) so the window weights are applied directly while
-        moving data between image and oversampled grid — no separate
-        full-grid pass, no intermediate copies.  Also routes the
-        oversampled accumulator through the plan's
-        :class:`~repro.gridding.buffers.GridBufferPool`.  Bit-identical
-        to the unfused pipeline.  Default (``None``) enables fusion
-        wherever it is available; it is automatically disabled for
-        ``precision="simulate-single"`` (which needs the stepwise
-        rounding points of the legacy path) — passing ``fused=True``
-        explicitly there warns once and is overridden.  The effective
-        state is recorded in ``plan.timings.fused``.
     quality_policy:
         What to do with non-finite sample coordinates/values and image
         pixels: ``"raise"`` (default — typed
@@ -185,13 +165,6 @@ class NufftPlan:
         surfaced in ``plan.timings.quality``.  Ignored when ``gridder``
         is an already-built :class:`Gridder` — its setup's policy
         governs, and the plan adopts it.
-    fft_fallback:
-        Wrap the FFT backend in a
-        :class:`~repro.nufft.fft_backend.FallbackFftBackend` so a
-        runtime FFT failure degrades (sticky) down the chain of
-        available backends ending at ``numpy`` instead of aborting the
-        transform; demotions appear in ``plan.timings.fft_fallbacks``.
-        Default True; pass False to let FFT exceptions propagate.
     buffer_pool:
         An existing :class:`~repro.gridding.buffers.GridBufferPool` to
         route every full-grid allocation through, instead of the
@@ -248,15 +221,12 @@ class NufftPlan:
         precision: str = "double",
         fft_backend: str | FftBackend = "auto",
         fft_workers: int | None = None,
-        fused: bool | None = None,
         quality_policy: str = "raise",
-        fft_fallback: bool = True,
         buffer_pool: GridBufferPool | None = None,
     ):
-        if precision not in ("double", "single", "simulate-single"):
+        if precision not in ("double", "single"):
             raise ValueError(
-                "precision must be 'double', 'single', or 'simulate-single', "
-                f"got {precision!r}"
+                f"precision must be 'double' or 'single', got {precision!r}"
             )
         self.precision = precision
         #: working complex dtype of every full-grid array the plan touches
@@ -348,7 +318,7 @@ class NufftPlan:
         self._apod_conj = [np.conj(w) for w in self._apod]
 
         fft = get_fft_backend(fft_backend, workers=fft_workers)
-        if fft_fallback and not isinstance(fft, FallbackFftBackend):
+        if not isinstance(fft, FallbackFftBackend):
             fft = FallbackFftBackend(fft, workers=fft_workers)
         self._fft = fft
         #: pooled oversampled-grid buffers, shared with the gridder's
@@ -356,19 +326,6 @@ class NufftPlan:
         #: was passed, with every other plan on the same pool)
         self.buffer_pool = buffer_pool if buffer_pool is not None else GridBufferPool()
         self.gridder.buffer_pool = self.buffer_pool
-        if fused and precision == "simulate-single":
-            warnings.warn(
-                "fused=True is overridden for precision='simulate-single': "
-                "the stepwise-rounding comparator requires the legacy "
-                "(unfused) pipeline; the effective state is recorded in "
-                "plan.timings.fused",
-                UserWarning,
-                stacklevel=2,
-            )
-        self._fused = (
-            (True if fused is None else bool(fused))
-            and precision != "simulate-single"
-        )
         self._corner_blocks_cache: list | None = None
         #: optional :class:`~repro.robustness.CancelToken` — checked on
         #: entry to every transform and propagated to the gridder (the
@@ -380,19 +337,8 @@ class NufftPlan:
             fft_backend=self._fft.name,
             fft_workers=self._fft.workers,
             precision=self.precision,
-            fused=self._fused,
             kernel=self.kernel_name,
         )
-
-    def _round(self, array: np.ndarray) -> np.ndarray:
-        """Round to complex64 at a step boundary (simulate-single only).
-
-        The true ``"single"`` lane never needs this — its arrays *are*
-        complex64 throughout; ``"double"`` passes through untouched.
-        """
-        if self.precision == "simulate-single":
-            return array.astype(np.complex64).astype(np.complex128)
-        return array
 
     def _gate_image(self, image: np.ndarray) -> tuple[np.ndarray, int]:
         """Gate non-finite image pixels per the plan's quality policy.
@@ -451,22 +397,6 @@ class NufftPlan:
     def ndim(self) -> int:
         return len(self.image_shape)
 
-    def _apodize(self, image: np.ndarray, conjugate: bool = False) -> np.ndarray:
-        """Multiply an image by the separable de-apodization weights.
-
-        The adjoint direction uses the weights as computed; the forward
-        direction uses their conjugate so the two transforms remain
-        exact numerical adjoints (the weights carry a tiny imaginary
-        part — see :func:`repro.kernels.numeric_apodization`).
-        """
-        out = np.asarray(image, dtype=self.cdtype).copy()
-        for axis, w in enumerate(self._apod):
-            shape = [1] * self.ndim
-            shape[axis] = w.size
-            wa = np.conj(w) if conjugate else w
-            out *= wa.reshape(shape)
-        return out
-
     # -- fused apodize+pad / crop+deapodize kernels --------------------
     def _corner_blocks(self) -> list:
         """The ``2^d`` corner blocks of the centered pad/crop mapping.
@@ -513,20 +443,18 @@ class NufftPlan:
         self._corner_blocks_cache = blocks
         return blocks
 
-    def _fused_apodize_pad(
-        self, image: np.ndarray, out: np.ndarray, conjugate: bool = True
-    ) -> None:
+    def _fused_apodize_pad(self, image: np.ndarray, out: np.ndarray) -> None:
         """Apodize ``image`` directly into the zeroed grid buffer ``out``.
 
-        Replaces the legacy ``_apodize`` (image copy + d in-place
-        passes) followed by ``_pad`` (fresh zeroed grid + fancy-index
-        scatter): each corner block is multiplied straight into its
-        destination view, applying the axis weights in the same
-        elementwise order as the legacy path — bit-identical output,
-        zero intermediate full-size arrays.
+        Each corner block is multiplied straight into its destination
+        view, applying the axis weights in ascending axis order — the
+        same elementwise result as apodizing the whole image and then
+        scattering it into the grid, with zero intermediate full-size
+        arrays.  The weights are conjugated so forward and adjoint stay
+        exact numerical adjoints (the weights carry a tiny imaginary
+        part — see :func:`repro.kernels.numeric_apodization`).
         """
-        for img_sl, grid_sl, weights, conj_weights in self._corner_blocks():
-            ws = conj_weights if conjugate else weights
+        for img_sl, grid_sl, _, ws in self._corner_blocks():
             dst = out[grid_sl]
             np.multiply(image[img_sl], ws[0], out=dst)
             for w in ws[1:]:
@@ -537,10 +465,11 @@ class NufftPlan:
     ) -> np.ndarray:
         """Gather the centered image out of ``spectrum``, de-apodized.
 
-        Fuses the legacy ``_crop`` (per-axis ``np.take`` gather, one
-        intermediate per axis) with ``_apodize`` (copy + d passes) into
-        one sliced multiply per corner block; same elementwise multiply
-        order, bit-identical result.
+        Centered pixel ``p`` is read from grid index ``p mod G`` and
+        multiplied by the per-axis weights in ascending axis order, one
+        sliced multiply per corner block — bit-identical to a per-axis
+        ``np.take`` crop followed by a separate de-apodization pass
+        (``tests/test_fft_backend.py`` keeps that stepwise reference).
         """
         if out is None:
             out = np.empty(self.image_shape, dtype=self.cdtype)
@@ -550,6 +479,32 @@ class NufftPlan:
             for w in weights[1:]:
                 dst *= w
         return out
+
+    def _record_timings(
+        self,
+        gridding: float,
+        fft: float,
+        apodization: float,
+        copy: float,
+        peak: int,
+        n_bad_pixels: int = 0,
+    ) -> None:
+        """Publish the finished transform's :class:`NufftTimings`."""
+        self.timings = NufftTimings(
+            gridding=gridding,
+            fft=fft,
+            apodization=apodization,
+            copy_seconds=copy,
+            fft_backend=self._fft.name,
+            fft_workers=self._fft.workers,
+            peak_bytes=peak,
+            quality=self._quality(n_bad_pixels),
+            fft_fallbacks=self._fft_events(),
+            precision=self.precision,
+            kernel=self.kernel_name,
+            exec_lane=self.gridder.stats.exec_lane,
+            chunks=self.gridder.stats.chunks,
+        )
 
     @property
     def _grid_nbytes(self) -> int:
@@ -589,53 +544,25 @@ class NufftPlan:
 
         pool = self.buffer_pool
         miss0 = pool.miss_bytes
-        if self._fused:
-            tc0 = time.perf_counter()
-            grid_buf = pool.acquire(self.grid_shape, self.cdtype, zero=False)
-            try:
-                t0 = time.perf_counter()
-                grid = self.gridder.grid(self.grid_coords, values, out=grid_buf)
-                t1 = time.perf_counter()
-                # norm="forward" is the unnormalized inverse DFT — the old
-                # ifftn(grid) * prod(grid_shape) without the extra
-                # full-grid scaling pass
-                spectrum = self._fft.ifftn(grid, norm="forward")
-                t2 = time.perf_counter()
-                image = self._fused_crop_deapodize(spectrum)
-                t3 = time.perf_counter()
-            finally:
-                pool.release(grid_buf)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + spectrum.nbytes
-        else:
+        tc0 = time.perf_counter()
+        grid_buf = pool.acquire(self.grid_shape, self.cdtype, zero=False)
+        try:
             t0 = time.perf_counter()
-            grid = self._round(self.gridder.grid(self.grid_coords, self._round(values)))
+            grid = self.gridder.grid(self.grid_coords, values, out=grid_buf)
             t1 = time.perf_counter()
-            spectrum = self._round(self._fft.ifftn(grid, norm="forward"))
+            # norm="forward" is the unnormalized inverse DFT — the old
+            # ifftn(grid) * prod(grid_shape) without the extra
+            # full-grid scaling pass
+            spectrum = self._fft.ifftn(grid, norm="forward")
             t2 = time.perf_counter()
-            image = self._crop(spectrum)
-            image = self._round(self._apodize(image))
+            image = self._fused_crop_deapodize(spectrum)
             t3 = time.perf_counter()
-            copy = 0.0
-            # non-pooled gridder output + FFT output
-            peak = (pool.miss_bytes - miss0) + 2 * self._grid_nbytes
-        self.timings = NufftTimings(
-            gridding=t1 - t0,
-            fft=t2 - t1,
-            apodization=t3 - t2,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
+        finally:
+            pool.release(grid_buf)
+        tc1 = time.perf_counter()
+        copy = (t0 - tc0) + (tc1 - t3)
+        peak = (pool.miss_bytes - miss0) + spectrum.nbytes
+        self._record_timings(t1 - t0, t2 - t1, t3 - t2, copy, peak)
         return image
 
     def forward(self, image: np.ndarray) -> np.ndarray:
@@ -669,50 +596,22 @@ class NufftPlan:
 
         pool = self.buffer_pool
         miss0 = pool.miss_bytes
-        if self._fused:
-            tc0 = time.perf_counter()
-            padded = pool.acquire(self.grid_shape, self.cdtype, zero=True)
-            try:
-                t0 = time.perf_counter()
-                self._fused_apodize_pad(image, padded, conjugate=True)
-                t1 = time.perf_counter()
-                grid = self._fft.fftn(padded)
-                t2 = time.perf_counter()
-                samples = self.gridder.interp(grid, self.grid_coords)
-                t3 = time.perf_counter()
-            finally:
-                pool.release(padded)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + grid.nbytes
-        else:
+        tc0 = time.perf_counter()
+        padded = pool.acquire(self.grid_shape, self.cdtype, zero=True)
+        try:
             t0 = time.perf_counter()
-            prepared = self._round(self._apodize(self._round(image), conjugate=True))
-            padded = self._pad(prepared)
+            self._fused_apodize_pad(image, padded)
             t1 = time.perf_counter()
-            grid = self._round(self._fft.fftn(padded))
+            grid = self._fft.fftn(padded)
             t2 = time.perf_counter()
-            samples = self._round(self.gridder.interp(grid, self.grid_coords))
+            samples = self.gridder.interp(grid, self.grid_coords)
             t3 = time.perf_counter()
-            copy = 0.0
-            # non-pooled _pad grid + FFT output
-            peak = (pool.miss_bytes - miss0) + 2 * self._grid_nbytes
-        self.timings = NufftTimings(
-            gridding=t3 - t2,
-            fft=t2 - t1,
-            apodization=t1 - t0,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(n_bad_pixels),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
+        finally:
+            pool.release(padded)
+        tc1 = time.perf_counter()
+        copy = (t0 - tc0) + (tc1 - t3)
+        peak = (pool.miss_bytes - miss0) + grid.nbytes
+        self._record_timings(t3 - t2, t2 - t1, t1 - t0, copy, peak, n_bad_pixels)
         return samples
 
     # ------------------------------------------------------------------
@@ -746,58 +645,23 @@ class NufftPlan:
         axes = tuple(range(1, self.ndim + 1))
         pool = self.buffer_pool
         miss0 = pool.miss_bytes
-        if self._fused:
-            tc0 = time.perf_counter()
-            padded = pool.acquire((n_batch,) + self.grid_shape, self.cdtype, zero=True)
-            try:
-                t0 = time.perf_counter()
-                for b in range(n_batch):
-                    self._fused_apodize_pad(images[b], padded[b], conjugate=True)
-                t1 = time.perf_counter()
-                grids = self._fft.fftn(padded, axes=axes)
-                t2 = time.perf_counter()
-                samples = self.gridder.interp_batch(grids, self.grid_coords)
-                t3 = time.perf_counter()
-            finally:
-                pool.release(padded)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + grids.nbytes
-        else:
+        tc0 = time.perf_counter()
+        padded = pool.acquire((n_batch,) + self.grid_shape, self.cdtype, zero=True)
+        try:
             t0 = time.perf_counter()
-            padded = np.empty((n_batch,) + self.grid_shape, dtype=self.cdtype)
             for b in range(n_batch):
-                prepared = self._round(
-                    self._apodize(self._round(images[b]), conjugate=True)
-                )
-                padded[b] = self._pad(prepared)
+                self._fused_apodize_pad(images[b], padded[b])
             t1 = time.perf_counter()
-            grids = self._round(self._fft.fftn(padded, axes=axes))
+            grids = self._fft.fftn(padded, axes=axes)
             t2 = time.perf_counter()
-            samples = self._round(self.gridder.interp_batch(grids, self.grid_coords))
+            samples = self.gridder.interp_batch(grids, self.grid_coords)
             t3 = time.perf_counter()
-            copy = 0.0
-            # stacked pad target + per-image _pad temporaries + FFT output
-            peak = (
-                (pool.miss_bytes - miss0)
-                + (2 * n_batch + n_batch) * self._grid_nbytes
-            )
-        self.timings = NufftTimings(
-            gridding=t3 - t2,
-            fft=t2 - t1,
-            apodization=t1 - t0,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(n_bad_pixels),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
+        finally:
+            pool.release(padded)
+        tc1 = time.perf_counter()
+        copy = (t0 - tc0) + (tc1 - t3)
+        peak = (pool.miss_bytes - miss0) + grids.nbytes
+        self._record_timings(t3 - t2, t2 - t1, t1 - t0, copy, peak, n_bad_pixels)
         return samples
 
     def adjoint_batch(self, values: np.ndarray) -> np.ndarray:
@@ -824,77 +688,23 @@ class NufftPlan:
         pool = self.buffer_pool
         miss0 = pool.miss_bytes
         out = np.empty((n_batch,) + self.image_shape, dtype=self.cdtype)
-        if self._fused:
-            tc0 = time.perf_counter()
-            grid_buf = pool.acquire((n_batch,) + self.grid_shape, self.cdtype, zero=False)
-            try:
-                t0 = time.perf_counter()
-                grids = self.gridder.grid_batch(
-                    self.grid_coords, values, out=grid_buf
-                )
-                t1 = time.perf_counter()
-                spectra = self._fft.ifftn(grids, axes=axes, norm="forward")
-                t2 = time.perf_counter()
-                for b in range(n_batch):
-                    self._fused_crop_deapodize(spectra[b], out=out[b])
-                t3 = time.perf_counter()
-            finally:
-                pool.release(grid_buf)
-            tc1 = time.perf_counter()
-            copy = (t0 - tc0) + (tc1 - t3)
-            peak = (pool.miss_bytes - miss0) + spectra.nbytes
-        else:
+        tc0 = time.perf_counter()
+        grid_buf = pool.acquire((n_batch,) + self.grid_shape, self.cdtype, zero=False)
+        try:
             t0 = time.perf_counter()
-            grids = self._round(
-                self.gridder.grid_batch(self.grid_coords, self._round(values))
+            grids = self.gridder.grid_batch(
+                self.grid_coords, values, out=grid_buf
             )
             t1 = time.perf_counter()
-            spectra = self._round(self._fft.ifftn(grids, axes=axes, norm="forward"))
+            spectra = self._fft.ifftn(grids, axes=axes, norm="forward")
             t2 = time.perf_counter()
             for b in range(n_batch):
-                out[b] = self._round(self._apodize(self._crop(spectra[b])))
+                self._fused_crop_deapodize(spectra[b], out=out[b])
             t3 = time.perf_counter()
-            copy = 0.0
-            # stacked gridder output + stacked FFT output
-            peak = (pool.miss_bytes - miss0) + 2 * n_batch * self._grid_nbytes
-        self.timings = NufftTimings(
-            gridding=t1 - t0,
-            fft=t2 - t1,
-            apodization=t3 - t2,
-            copy_seconds=copy,
-            fft_backend=self._fft.name,
-            fft_workers=self._fft.workers,
-            peak_bytes=peak,
-            quality=self._quality(),
-            fft_fallbacks=self._fft_events(),
-            precision=self.precision,
-            fused=self._fused,
-            kernel=self.kernel_name,
-            exec_lane=self.gridder.stats.exec_lane,
-            chunks=self.gridder.stats.chunks,
-        )
-        return out
-
-    # ------------------------------------------------------------------
-    def _crop(self, spectrum: np.ndarray) -> np.ndarray:
-        """Extract centered pixels p in [-N//2, N - N//2) from the G-grid.
-
-        Index ``p mod G`` of the inverse FFT output corresponds to the
-        centered position ``p``; this gathers those entries into
-        centered image order.
-        """
-        out = spectrum
-        for axis, (n, g) in enumerate(zip(self.image_shape, self.grid_shape)):
-            p = np.arange(n) - n // 2
-            out = np.take(out, np.mod(p, g), axis=axis)
-        return out
-
-    def _pad(self, image: np.ndarray) -> np.ndarray:
-        """Adjoint of :meth:`_crop`: scatter centered pixels into the G-grid."""
-        out = np.zeros(self.grid_shape, dtype=self.cdtype)
-        index = tuple(
-            np.mod(np.arange(n) - n // 2, g)
-            for n, g in zip(self.image_shape, self.grid_shape)
-        )
-        out[np.ix_(*index)] = image
+        finally:
+            pool.release(grid_buf)
+        tc1 = time.perf_counter()
+        copy = (t0 - tc0) + (tc1 - t3)
+        peak = (pool.miss_bytes - miss0) + spectra.nbytes
+        self._record_timings(t1 - t0, t2 - t1, t3 - t2, copy, peak)
         return out

@@ -1,10 +1,10 @@
 """FFT backend registry, buffer pool, and fused-kernel bit-identity.
 
-The contract under test: swapping the FFT backend or enabling the
-fused apodize+pad / crop+deapodize path must never change *what* the
-NuFFT computes — on the ``numpy`` backend the fused pipeline is
-bit-identical to the legacy one, and the buffer pool only changes
-where the bytes live, not their values.
+The contract under test: swapping the FFT backend or fusing
+apodize+pad / crop+deapodize must never change *what* the NuFFT
+computes — on the ``numpy`` backend the plan's fused pipeline is
+bit-identical to the stepwise reference kept below, and the buffer
+pool only changes where the bytes live, not their values.
 """
 
 from __future__ import annotations
@@ -170,58 +170,99 @@ CASES = [
 ]
 
 
+def _centered_index(plan):
+    """Per-axis grid index ``(arange(n) - n//2) mod G`` of each pixel."""
+    return [
+        np.mod(np.arange(n) - n // 2, g)
+        for n, g in zip(plan.image_shape, plan.grid_shape)
+    ]
+
+
+def _crop_deapodize(plan, spectrum):
+    """Stepwise crop (per-axis ``np.take``) then per-axis apodization."""
+    image = spectrum
+    for axis, index in enumerate(_centered_index(plan)):
+        image = np.take(image, index, axis=axis)
+    image = np.asarray(image, dtype=plan.cdtype).copy()
+    for axis, w in enumerate(plan._apod):
+        shape = [1] * plan.ndim
+        shape[axis] = w.size
+        image *= w.reshape(shape)
+    return image
+
+
+def _apodize_pad(plan, image):
+    """Transpose of :func:`_crop_deapodize`: conjugate weights, scatter."""
+    image = np.asarray(image, dtype=plan.cdtype).copy()
+    for axis, w in enumerate(plan._apod):
+        shape = [1] * plan.ndim
+        shape[axis] = w.size
+        image *= np.conj(w).reshape(shape)
+    padded = np.zeros(plan.grid_shape, dtype=plan.cdtype)
+    padded[np.ix_(*_centered_index(plan))] = image
+    return padded
+
+
+def stepwise_adjoint(plan, values):
+    """Reference adjoint: grid -> unnormalized inverse FFT -> crop+deapodize."""
+    grid = plan.gridder.grid(plan.grid_coords, np.asarray(values, plan.cdtype))
+    return _crop_deapodize(plan, np.fft.ifftn(grid, norm="forward"))
+
+
+def stepwise_forward(plan, image):
+    """Reference forward: apodize+pad -> FFT -> interpolate."""
+    grid = np.fft.fftn(_apodize_pad(plan, image))
+    return plan.gridder.interp(grid, plan.grid_coords)
+
+
+def stepwise_adjoint_batch(plan, values):
+    """Reference batched adjoint over one stacked ``axes=`` inverse FFT."""
+    axes = tuple(range(1, plan.ndim + 1))
+    grids = plan.gridder.grid_batch(plan.grid_coords, np.asarray(values, plan.cdtype))
+    spectra = np.fft.ifftn(grids, axes=axes, norm="forward")
+    return np.stack([_crop_deapodize(plan, s) for s in spectra])
+
+
+def stepwise_forward_batch(plan, images):
+    """Reference batched forward over one stacked ``axes=`` FFT."""
+    axes = tuple(range(1, plan.ndim + 1))
+    padded = np.stack([_apodize_pad(plan, img) for img in images])
+    grids = np.fft.fftn(padded, axes=axes)
+    return plan.gridder.interp_batch(grids, plan.grid_coords)
+
+
 class TestFusedBitIdentity:
-    """Fused apodize+pad / crop+deapodize == legacy pipeline, exactly."""
+    """Fused apodize+pad / crop+deapodize == stepwise reference, exactly."""
 
     @pytest.mark.parametrize("label,shape,coords", CASES, ids=[c[0] for c in CASES])
     def test_adjoint_and_forward(self, label, shape, coords):
-        fused = NufftPlan(shape, coords, fft_backend="numpy", fused=True)
-        legacy = NufftPlan(shape, coords, fft_backend="numpy", fused=False)
+        plan = NufftPlan(shape, coords, fft_backend="numpy")
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 7)
         rng = np.random.default_rng(0)
         img = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        assert np.array_equal(fused.adjoint(v), legacy.adjoint(v))
-        assert np.array_equal(fused.forward(img), legacy.forward(img))
+        assert np.array_equal(plan.adjoint(v), stepwise_adjoint(plan, v))
+        assert np.array_equal(plan.forward(img), stepwise_forward(plan, img))
 
     @pytest.mark.parametrize("label,shape,coords", CASES, ids=[c[0] for c in CASES])
     def test_batched(self, label, shape, coords):
-        fused = NufftPlan(shape, coords, fft_backend="numpy", fused=True)
-        legacy = NufftPlan(shape, coords, fft_backend="numpy", fused=False)
+        plan = NufftPlan(shape, coords, fft_backend="numpy")
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 7)
         rng = np.random.default_rng(0)
         img = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         vals = np.stack([v, 2 * v, -1j * v])
         imgs = np.stack([img, 1j * img])
-        assert np.array_equal(fused.adjoint_batch(vals), legacy.adjoint_batch(vals))
-        assert np.array_equal(fused.forward_batch(imgs), legacy.forward_batch(imgs))
+        assert np.array_equal(
+            plan.adjoint_batch(vals), stepwise_adjoint_batch(plan, vals)
+        )
+        assert np.array_equal(
+            plan.forward_batch(imgs), stepwise_forward_batch(plan, imgs)
+        )
 
     def test_oversampling_1p5(self):
         coords = radial_trajectory(16, 32)
-        fused = NufftPlan((32, 32), coords, oversampling=1.5, fft_backend="numpy")
-        legacy = NufftPlan(
-            (32, 32), coords, oversampling=1.5, fft_backend="numpy", fused=False
-        )
+        plan = NufftPlan((32, 32), coords, oversampling=1.5, fft_backend="numpy")
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 5)
-        assert np.array_equal(fused.adjoint(v), legacy.adjoint(v))
-
-    def test_simulate_single_uses_legacy_path(self):
-        # the stepwise-rounding comparator needs the legacy pipeline's
-        # rounding points; the true complex64 lane keeps fusion on
-        coords = radial_trajectory(16, 32)
-        plan = NufftPlan((32, 32), coords, precision="simulate-single")
-        assert not plan._fused
-        true_single = NufftPlan((32, 32), coords, precision="single")
-        assert true_single._fused
-
-    def test_fused_true_with_simulate_single_warns_once(self):
-        coords = radial_trajectory(16, 32)
-        with pytest.warns(UserWarning, match="fused=True is overridden"):
-            plan = NufftPlan(
-                (32, 32), coords, precision="simulate-single", fused=True
-            )
-        assert not plan._fused
-        assert not plan.timings.fused
-        assert plan.timings.precision == "simulate-single"
+        assert np.array_equal(plan.adjoint(v), stepwise_adjoint(plan, v))
 
     def test_norm_forward_matches_scaled_ifftn_pow2(self):
         # the adjoint's norm="forward" inverse FFT is bit-identical to
@@ -280,27 +321,19 @@ class TestPlanBackendsAndPool:
         assert plan.buffer_pool.misses == misses_after_first
 
     def test_fused_removes_two_grid_temporaries(self):
-        # the headline allocator win: warm fused forward+adjoint
-        # performs two fewer full-grid allocations than legacy
+        # the allocator contract: once the pool is warm, an adjoint and
+        # a forward each allocate exactly one full grid (the FFT output)
         coords = radial_trajectory(16, 32)
         v = np.exp(2j * np.pi * np.arange(coords.shape[0]) / 7)
         rng = np.random.default_rng(0)
         img = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        fused = NufftPlan((32, 32), coords, fft_backend="numpy", fused=True)
-        legacy = NufftPlan((32, 32), coords, fft_backend="numpy", fused=False)
-        for plan in (fused, legacy):  # warm pools and caches
-            plan.adjoint(v)
-            plan.forward(img)
-        fused.adjoint(v)
-        fused_total = fused.timings.peak_bytes
-        fused.forward(img)
-        fused_total += fused.timings.peak_bytes
-        legacy.adjoint(v)
-        legacy_total = legacy.timings.peak_bytes
-        legacy.forward(img)
-        legacy_total += legacy.timings.peak_bytes
-        grid_bytes = fused._grid_nbytes
-        assert legacy_total - fused_total >= 2 * grid_bytes
+        plan = NufftPlan((32, 32), coords, fft_backend="numpy")
+        plan.adjoint(v)  # warm pools and caches
+        plan.forward(img)
+        plan.adjoint(v)
+        assert plan.timings.peak_bytes == plan._grid_nbytes
+        plan.forward(img)
+        assert plan.timings.peak_bytes == plan._grid_nbytes
 
     def test_repeat_calls_identical_with_pooling(self):
         # pooled buffer reuse must not leak state between transforms

@@ -124,9 +124,9 @@ class TestGridderBackends:
 
 
 class TestPrecision:
-    @pytest.mark.parametrize("lane", ["single", "simulate-single"])
+    @pytest.mark.parametrize("lane", ["single"])
     def test_single_precision_error_floor(self, coords, lane):
-        """Both single lanes must land near the float32 epsilon floor,
+        """The single lane must land near the float32 epsilon floor,
         far above double but far below the kernel approximation."""
         rng = np.random.default_rng(9)
         vals = rng.standard_normal(100) + 1j * rng.standard_normal(100)
@@ -164,29 +164,6 @@ class TestPrecision:
         grid_nbytes = int(np.prod(plan.grid_shape)) * 8
         assert plan.timings.peak_bytes == grid_nbytes
         assert plan.timings.precision == "single"
-        assert plan.timings.fused
-
-    def test_simulate_single_matches_legacy_comparator_bits(self, coords):
-        """simulate-single is the old stepwise-rounding comparator,
-        reproduced bit for bit by hand."""
-        rng = np.random.default_rng(3)
-        vals = rng.standard_normal(100) + 1j * rng.standard_normal(100)
-        plan = NufftPlan((32, 32), coords, gridder="naive",
-                         fft_backend="numpy", precision="simulate-single")
-        got = plan.adjoint(vals)
-        assert got.dtype == np.complex128
-
-        def rnd(a):
-            return a.astype(np.complex64).astype(np.complex128)
-
-        ref_plan = NufftPlan((32, 32), coords, gridder="naive",
-                             fft_backend="numpy", fused=False)
-        grid = rnd(ref_plan.gridder.grid(
-            ref_plan.grid_coords, rnd(np.asarray(vals, dtype=np.complex128))
-        ))
-        spectrum = rnd(np.fft.ifftn(grid, norm="forward"))
-        expected = rnd(ref_plan._apodize(ref_plan._crop(spectrum)))
-        assert np.array_equal(got, expected)
 
     def test_gridder_instance_dtype_mismatch_rejected(self, coords):
         from repro.gridding import GriddingSetup, make_gridder
@@ -200,5 +177,6 @@ class TestPrecision:
             NufftPlan((32, 32), coords, gridder=gridder, precision="single")
 
     def test_rejects_unknown_precision(self, coords):
-        with pytest.raises(ValueError, match="precision"):
-            NufftPlan((32, 32), coords, precision="half")
+        for precision in ("half", "simulate-single"):
+            with pytest.raises(ValueError, match="precision"):
+                NufftPlan((32, 32), coords, precision=precision)

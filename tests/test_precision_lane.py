@@ -3,7 +3,8 @@
 The ``precision="single"`` lane must compute in complex64/float32 end
 to end — gridding engines, buffer pool, FFT, apodization, CG — while
 staying within the float32 error floor of the complex128 reference.
-The legacy stepwise comparator lives on as ``"simulate-single"``.
+It is the plan's only float32 lane: ``precision`` accepts ``"double"``
+and ``"single"``.
 """
 
 import numpy as np
