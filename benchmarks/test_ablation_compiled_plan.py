@@ -1,22 +1,19 @@
 """Ablation — the trajectory-compiled scatter plan (plan-hit speedup).
 
 The compiled engine runs the ``O(M * T^d)`` select pass once per
-trajectory and turns every later call into a gather plus ``bincount``
-accumulates over the ``M * W^d`` plan entries.  The payoff case is any
+trajectory and turns every later call into one sparse matrix-vector
+product over the ``M * W^d`` plan entries.  The payoff case is any
 workload that applies one trajectory repeatedly — every CG iteration
 and SENSE coil pass after the first.
 
 Acceptance (ISSUE 3):
 
 - warm (plan-hit) gridding must be >= 5x the serial engine at
-  M = 65536, 256^2 grid, W = 4 (the CSR backend's fused
-  gather-multiply-scatter loop clears this; the pure-numpy bincount
-  backend has a documented >= 2x floor — numpy cannot fuse the gather,
-  multiply, and scatter into one pass, so it pays ~3x the memory
-  traffic of SciPy's C loop);
+  M = 65536, 256^2 grid, W = 4 (SciPy's fused gather-multiply-scatter
+  loop clears this), and never below the >= 2x floor;
 - a 10-iteration CG reconstruction must be >= 2x end-to-end;
-- the bincount backend is bit-identical (``np.array_equal``) to the
-  serial engine and the CSR backend is ``allclose(rtol=1e-12)``.
+- the compiled engine is bit-identical (``np.array_equal``) to the
+  serial engine.
 """
 
 import time
@@ -63,8 +60,6 @@ def test_plan_hit_gridding_speedup():
     # equivalence first (on the full problem, not a toy)
     ref = ser.grid(coords, values)
     assert np.array_equal(com.grid(coords, values), ref)
-    csr = CompiledSliceAndDiceGridder(setup, backend="csr")
-    np.testing.assert_allclose(csr.grid(coords, values), ref, rtol=1e-12)
 
     t0 = time.perf_counter()
     CompiledSliceAndDiceGridder(setup).grid(coords, values)  # cold: compile
@@ -73,13 +68,10 @@ def test_plan_hit_gridding_speedup():
     serial_warm = _time(lambda: ser.grid(coords, values))
     compiled_warm = _time(lambda: com.grid(coords, values))
     assert com.stats.cache_hits == 1 and com.stats.boundary_checks == 0
-    csr_warm = _time(lambda: csr.grid(coords, values))
     interp_serial = _time(lambda: ser.interp(ref, coords))
     interp_compiled = _time(lambda: com.interp(ref, coords))
 
-    bincount_speedup = serial_warm / compiled_warm
-    csr_speedup = serial_warm / csr_warm
-    speedup = max(bincount_speedup, csr_speedup)
+    speedup = serial_warm / compiled_warm
     print_table(
         f"Compiled scatter plan — M={M}, grid {G}^2, W={W} (plan_nnz={com.stats.plan_nnz})",
         ["path", "seconds", "vs serial warm"],
@@ -88,8 +80,7 @@ def test_plan_hit_gridding_speedup():
             ["compiled grid (cold, incl. compile)", f"{cold:.4f}",
              f"{serial_warm / cold:.1f}x"],
             ["compiled grid (plan hit)", f"{compiled_warm:.4f}",
-             f"{bincount_speedup:.1f}x"],
-            ["csr grid (plan hit)", f"{csr_warm:.4f}", f"{csr_speedup:.1f}x"],
+             f"{speedup:.1f}x"],
             ["serial interp (warm)", f"{interp_serial:.4f}", "-"],
             ["compiled interp (plan hit)", f"{interp_compiled:.4f}",
              f"{interp_serial / interp_compiled:.1f}x"],
@@ -97,12 +88,11 @@ def test_plan_hit_gridding_speedup():
     )
     assert speedup >= 5.0, (
         f"plan-hit gridding only {speedup:.1f}x vs serial warm "
-        f"(compiled {compiled_warm:.4f}s / csr {csr_warm:.4f}s "
-        f"vs {serial_warm:.4f}s)"
-    )
-    assert bincount_speedup >= 2.0, (
-        f"bincount backend only {bincount_speedup:.1f}x vs serial warm "
         f"({compiled_warm:.4f}s vs {serial_warm:.4f}s)"
+    )
+    assert speedup >= 2.0, (
+        f"plan-hit gridding below the 2x floor: {speedup:.1f}x vs serial "
+        f"warm ({compiled_warm:.4f}s vs {serial_warm:.4f}s)"
     )
 
 

@@ -27,9 +27,9 @@ Public surface:
   accumulators, bit-identical to the serial gridder.
 - :class:`~repro.core.CompiledSliceAndDiceGridder` — the select pass
   compiled once per trajectory into a :class:`~repro.core.CompiledPlan`
-  (flat sample/address/weight arrays); every repeat call is a gather
-  plus bincount accumulates with zero select work, bit-identical to
-  the serial gridder.  Its ``lane=`` option runs the plan through the
+  (flat sample/address/weight arrays); every repeat call is one sparse
+  matvec per RHS with zero select work, bit-identical to the serial
+  gridder.  Its ``lane=`` option runs the plan through the
   numba-fused scatter/gather loops of :mod:`~repro.core.jit` (serial
   and row/sample-sharded ``prange`` lanes), degrading to the NumPy
   lane when numba is absent;

@@ -13,15 +13,21 @@ and compile its result into three flat arrays over the exact
 - ``flat_idx``   — the global dice address ``row * n_tiles + depth``,
 - ``weight``     — the combined separable kernel weight.
 
-With the plan in hand, adjoint gridding is a single fancy-index gather
-plus one pair of :func:`np.bincount` calls per right-hand side into the
-raveled ``(n_columns * n_tiles)`` dice, and forward interpolation is
-one gather plus one segment-sum (again ``bincount``) per RHS — no
-boundary-check arithmetic, no per-column Python loop, no LUT reads.
-Per-call cost drops from ``O(M * T^d)`` to ``O(M * W^d)``, which is the
-payoff case for iterative reconstruction: every CG iteration and every
-SENSE coil pass after the first reuses the plan and does **zero select
-work** (``stats.cache_hits`` / ``stats.boundary_checks == 0`` make this
+With the plan in hand, the NumPy lane evaluates each right-hand side
+as **one** SciPy sparse kernel call over a lazily built real-weight
+CSR matrix ``A`` (rows are dice addresses, columns are samples):
+adjoint gridding is ``A @ v`` and forward interpolation is ``A.T @ x``
+(``A.T`` is a CSC view, no copy).  The complex vector is viewed as an
+``(n, 2)`` real array, so a single ``csr_matvecs``/``csc_matvecs`` call
+handles the real and imaginary parts together and fuses the gather,
+multiply and accumulate into one memory pass — no boundary-check
+arithmetic, no per-column Python loop, no LUT reads, no gather scratch.
+A complex64 setup keeps ``float32`` matrix data and accumulates
+natively in single precision.  Per-call cost drops from ``O(M * T^d)``
+to ``O(M * W^d)``, which is the payoff case for iterative
+reconstruction: every CG iteration and every SENSE coil pass after the
+first reuses the plan and does **zero select work**
+(``stats.cache_hits`` / ``stats.boundary_checks == 0`` make this
 observable per call).
 
 Bit-identity
@@ -29,36 +35,33 @@ Bit-identity
 The plan stores entries in **row-major order**: columns (rows of the
 dice) ascending, and within each row the passing samples ascending —
 exactly the order :meth:`SliceAndDiceGridder._flatten_select` emits and
-the serial engine visits.  ``np.bincount`` accumulates its weights
-sequentially in array order, so
+the serial engine visits.  ``(dice address, sample)`` pairs are unique,
+and SciPy's COO->CSR conversion is a stable counting sort, so each CSR
+row (one ``(row, depth)`` dice word) keeps its entries in ascending
+sample order.  SciPy's ``csr_matvecs``/``csc_matvecs`` start from zeros
+and do ``y += a * x`` once per stored entry, in stored order, as a
+separate multiply and add, so
 
-- per ``(row, depth)`` dice word, adjoint contributions sum in
-  ascending sample order — the serial engine's per-column ``bincount``
-  order, and
-- per sample, forward contributions sum in ascending row order — the
+- per dice word, adjoint contributions sum in ascending sample order —
+  the serial engine's per-column ``bincount`` order, and
+- per sample, forward contributions (the CSC view walks dice addresses
+  ascending) sum in ascending dice address, i.e. ascending row — the
   serial engine's row-loop order,
 
 both starting from ``0.0`` (``0.0 + x == x`` exactly).  The weights
 themselves are produced by the very same ``_select_column``
-expressions the serial engine evaluates.  Hence the ``bincount``
-backend is **bit-identical** (``np.array_equal``) to
+expressions the serial engine evaluates.  Hence at complex128 the
+NumPy lane is **bit-identical** (``np.array_equal``) to
 :class:`SliceAndDiceGridder` in both directions — asserted in
-``tests/test_core_compiled.py``.
-
-The optional ``backend="csr"`` hands the same triplets to
-``scipy.sparse`` and evaluates each RHS as a CSR matvec (``A^T x`` via
-the transposed CSC view for interpolation).  SciPy's fused
-gather-multiply-scatter C loop roughly halves the memory traffic of
-the bincount path — numpy cannot fuse those three passes — which is
-why it is the fastest warm path.  It accumulates in matrix order too,
-but its C routines may use different intermediate rounding, so the CSR
-backend is documented as ``allclose(rtol=1e-12)`` rather than
-bit-identical.
+``tests/test_core_compiled.py`` over values spanning 1e-150..1e150 and
+exact-cancellation pairs.  At complex64 the matrix accumulates in
+float32, as the numba lanes do, so that lane is ``allclose`` to the
+serial engine rather than bit-identical.
 
 Execution lanes
 ---------------
 ``lane=`` picks what runs over the plan entries: ``"numpy"`` (default;
-the bincount / CSR paths above) or the numba-fused loops of
+the sparse kernel calls above) or the numba-fused loops of
 :mod:`repro.core.jit` — ``"numba-serial"``, ``"numba-parallel"``, or
 ``"auto"`` (parallel at or above ``parallel_threshold`` entries).
 Every call goes through one lane path: select the lane, try the fused
@@ -73,9 +76,12 @@ Plan cache
 Plans are memoized per trajectory with the same O(1)
 ``_coords_fingerprint`` keying and true-LRU eviction as the select
 tables, and the same contract: in-place coordinate mutation requires
-:meth:`invalidate_cache`.  The per-axis tables themselves are only a
-*transient* input to compilation here (``table_cache_size=0`` by
-default) — the plan replaces them.
+:meth:`invalidate_cache`.  The fingerprint samples a few rows, so two
+different trajectories can collide on it and share a plan; call
+:meth:`invalidate_cache` when switching between trajectories that
+differ only in unsampled rows.  The per-axis tables themselves are
+only a *transient* input to compilation here (``table_cache_size=0``
+by default) — the plan replaces them.
 """
 
 from __future__ import annotations
@@ -84,16 +90,12 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import sparse
 
 from ..errors import DegradationEvent
 from ..gridding.base import GriddingSetup, GriddingStats
 from . import jit as _jit
 from .slice_and_dice import SliceAndDiceGridder
-
-try:  # pragma: no cover - scipy is an install requirement, but degrade
-    from scipy import sparse as _sparse
-except ImportError:  # pragma: no cover
-    _sparse = None
 
 __all__ = [
     "CompiledPlan",
@@ -108,7 +110,7 @@ class CompiledPlan:
     """A trajectory's select pass, flattened to scatter-plan arrays.
 
     Entries are stored in row-major order (dice rows ascending, samples
-    ascending within a row) — the property both bincount directions'
+    ascending within a row) — the property both directions'
     bit-identity rests on (module docstring).  ``row_starts[r] :
     row_starts[r + 1]`` is row ``r``'s contiguous slice, which is what
     the row-sharded ``numba-parallel`` adjoint slabs on.
@@ -121,13 +123,12 @@ class CompiledPlan:
     m: int                  #: samples in the compiled trajectory
     n_rows: int             #: dice rows (``T^d`` columns)
     n_tiles: int            #: dice depth (tiles per column)
-    compile_seconds: float  #: wall-clock of the flatten pass
+    compile_seconds: float  #: wall-clock of the flatten pass (+ the CSR build, once built)
     table_build_seconds: float  #: wall-clock of the transient table build
     table_bytes: int        #: bytes of the transient per-axis tables
     _sample_order: np.ndarray | None = field(default=None, repr=False)
     _sample_starts: np.ndarray | None = field(default=None, repr=False)
-    _csr: object | None = field(default=None, repr=False)
-    _csr_dtype: object | None = field(default=None, repr=False)
+    _csr: sparse.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def nnz(self) -> int:
@@ -137,7 +138,8 @@ class CompiledPlan:
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the plan's flat arrays."""
+        """Resident bytes of the plan's flat arrays and, once built, of
+        its sample-major view and CSR matrix."""
         total = (
             self.sample_idx.nbytes
             + self.flat_idx.nbytes
@@ -146,6 +148,9 @@ class CompiledPlan:
         )
         if self._sample_order is not None:
             total += self._sample_order.nbytes + self._sample_starts.nbytes
+        if self._csr is not None:
+            mat = self._csr
+            total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
         return int(total)
 
     def sample_view(self) -> tuple[np.ndarray, np.ndarray]:
@@ -156,7 +161,7 @@ class CompiledPlan:
         pass over ``order[starts[lo]:starts[hi]]`` accumulates each
         sample's contributions in exactly the serial row order.  This
         is the slab structure the sample-sharded ``numba-parallel``
-        forward uses; the full-pass bincount path does not need it.
+        forward uses; the NumPy lane does not need it.
         """
         if self._sample_order is None:
             self._sample_order = np.argsort(self.sample_idx, kind="stable")
@@ -166,34 +171,36 @@ class CompiledPlan:
             self._sample_starts = starts
         return self._sample_order, self._sample_starts
 
-    def csr(self, dtype=np.complex128):
-        """Lazy ``(n_rows * n_tiles, m)`` CSR matrix of the plan.
+    def csr(self) -> sparse.csr_matrix:
+        """Lazy ``(n_rows * n_tiles, m)`` real-weight CSR matrix of the
+        plan: rows are dice addresses, columns are samples.
 
         ``(flat_idx, sample_idx)`` pairs are unique (``W <= T`` gives at
         most one passing point per column per sample), so the COO->CSR
-        conversion never merges duplicates.  The data is stored in the
-        requested complex ``dtype`` (the setup's working dtype): the
-        weights are real, but a complex-typed matrix lets SciPy's fused
-        gather-multiply-scatter loop run directly on complex sample
-        vectors instead of upcasting the matrix on every call — and a
-        complex64 matrix halves the matvec traffic for a complex64
-        setup.  The cache is invalidated when ``dtype`` changes (one
-        plan serves one setup in practice, so this never thrashes).
+        conversion never merges duplicates, and its stable counting sort
+        keeps each row's entries in ascending sample order.  The data
+        keeps the weights' ``setup.real_dtype`` and the indices are
+        int32 whenever the plan fits, so a complex64 setup runs the
+        kernels in float32 with no upcast.  The build time is added to
+        :attr:`compile_seconds`.
         """
-        dtype = np.dtype(dtype)
-        if self._csr is None or self._csr_dtype != dtype:
-            if _sparse is None:  # pragma: no cover - scipy always present
-                raise ImportError(
-                    "backend='csr' requires scipy; install scipy or use "
-                    "the default backend='bincount'"
-                )
-            self._csr = _sparse.csr_matrix(
-                (self.weight.astype(dtype),
-                 (self.flat_idx, self.sample_idx)),
+        if self._csr is None:
+            t0 = time.perf_counter()
+            self._csr = sparse.csr_matrix(
+                (self.weight, (self.flat_idx, self.sample_idx)),
                 shape=(self.n_rows * self.n_tiles, self.m),
             )
-            self._csr_dtype = dtype
+            self.compile_seconds += time.perf_counter() - t0
         return self._csr
+
+
+def _real_pair_matvec(mat, vector: np.ndarray) -> np.ndarray:
+    """``mat @ vector`` for a real sparse ``mat`` and a complex vector,
+    as one sparse kernel call on the ``(n, 2)`` real view of
+    ``vector`` (real and imaginary parts side by side)."""
+    vector = np.ascontiguousarray(vector)
+    real = vector.real.dtype
+    return (mat @ vector.view(real).reshape(-1, 2)).view(vector.dtype).reshape(-1)
 
 
 def plan_stats(
@@ -217,7 +224,7 @@ def plan_stats(
     slots on).  Value work (``interpolations`` MACs, dice accesses)
     always scales with the batch.
 
-    ``dice_bytes`` is the caller's dice + scratch residency; the
+    ``dice_bytes`` is the caller's dice residency; the
     reported ``peak_bytes`` adds the plan itself and — on a miss — the
     transient select tables, giving the pass' true transient high
     water instead of the pooled-buffer bytes alone.
@@ -249,7 +256,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     First call on a trajectory builds the per-axis tables (transient),
     flattens them into a :class:`CompiledPlan`, and caches the plan;
     every subsequent call — every further CG iteration, coil, or RHS —
-    is a gather plus bincounts with **zero select work**.
+    is one sparse kernel call per RHS with **zero select work**.
 
     Parameters
     ----------
@@ -258,13 +265,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         ``tile_size | G`` per axis.
     tile_size:
         Virtual tile dimension ``T`` (8 in the paper).
-    backend:
-        ``"bincount"`` (default; bit-identical to the serial engine) or
-        ``"csr"`` (scipy CSR mat-mat; ``allclose(rtol=1e-12)``, NumPy
-        lane only).
     lane:
-        ``"numpy"`` (default), ``"numba-serial"``, ``"numba-parallel"``,
-        or ``"auto"`` (parallel for plans at or above
+        ``"numpy"`` (default; SciPy sparse kernels, bit-identical to
+        the serial engine at complex128), ``"numba-serial"``,
+        ``"numba-parallel"``, or ``"auto"`` (parallel for plans at or above
         ``parallel_threshold`` entries, serial below, where thread
         launch overhead would dominate).  A numba lane degrades to
         ``"numpy"`` with a recorded
@@ -314,7 +318,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         self,
         setup: GriddingSetup,
         tile_size: int = 8,
-        backend: str = "bincount",
         lane: str = "numpy",
         parallel_threshold: int = 1 << 15,
         plan_cache_size: int = 4,
@@ -326,29 +329,15 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             engine="columns",
             table_cache_size=table_cache_size,
         )
-        if backend not in ("bincount", "csr"):
-            raise ValueError(
-                f"backend must be 'bincount' or 'csr', got {backend!r}"
-            )
-        if backend == "csr" and _sparse is None:  # pragma: no cover
-            raise ImportError("backend='csr' requires scipy")
         if lane not in self._LANES:
             raise ValueError(f"lane must be one of {self._LANES}, got {lane!r}")
-        if backend == "csr" and lane != "numpy":
-            raise ValueError(
-                f"backend='csr' runs on the numpy lane only, got lane={lane!r}"
-            )
         if plan_cache_size < 0:
             raise ValueError(
                 f"plan_cache_size must be >= 0, got {plan_cache_size}"
             )
-        self.backend = backend
         self.plan_cache_size = int(plan_cache_size)
         #: fingerprint -> CompiledPlan; dict order doubles as LRU order
         self._plan_cache: dict[tuple, CompiledPlan] = {}
-        #: persistent ``(2, nnz)`` real gather scratch — re-allocated
-        #: only when the plan size or dtype changes, never per RHS
-        self._entry_scratch: np.ndarray | None = None
         self.requested_lane = lane
         self.parallel_threshold = int(parallel_threshold)
         #: sticky record of every demotion this engine performed
@@ -430,31 +419,11 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         """Drop cached plans *and* the parent's cached select tables."""
         super().invalidate_cache()
         self._plan_cache.clear()
-        self._entry_scratch = None
-
-    def _plan_scratch(self, nnz: int) -> tuple[np.ndarray, np.ndarray]:
-        """Real/imag ``(nnz,)`` gather scratch pair, reused across RHS
-        *and* across calls on the same plan.
-
-        Before this buffer existed, ``_apply_grid`` / ``_apply_interp``
-        allocated two fresh ``(nnz,)`` arrays per RHS — at ``M * W^d``
-        entries that churn dominated the warm adjoint's allocator
-        traffic.  The pair lives in one ``(2, nnz)`` block so a plan
-        swap costs a single re-allocation.
-        """
-        rd = self.setup.real_dtype
-        sc = self._entry_scratch
-        if sc is None or sc.shape[1] != nnz or sc.dtype != rd:
-            sc = np.empty((2, max(nnz, 1)), dtype=rd)
-            self._entry_scratch = sc
-        return sc[0, :nnz], sc[1, :nnz]
 
     def _dice_bytes(self, plan: CompiledPlan, k_rhs: int) -> int:
-        """Dice + gather-scratch residency of a ``K``-RHS pass (the
-        ``dice_bytes`` input of :func:`plan_stats`)."""
-        dice = k_rhs * plan.n_rows * plan.n_tiles * self.setup.dtype.itemsize
-        scratch = 0 if self._entry_scratch is None else self._entry_scratch.nbytes
-        return dice + scratch
+        """Dice residency of a ``K``-RHS pass (the ``dice_bytes`` input
+        of :func:`plan_stats`)."""
+        return k_rhs * plan.n_rows * plan.n_tiles * self.setup.dtype.itemsize
 
     def _fetch_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
         """The trajectory's compiled plan plus whether it was a cache hit.
@@ -493,7 +462,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         return plan, False
 
     # ------------------------------------------------------------------
-    # gridding (adjoint): gather + bincount / CSR matvec
+    # gridding (adjoint): A @ v
     # ------------------------------------------------------------------
     def _grid_impl(
         self, coords: np.ndarray, values: np.ndarray, grid: np.ndarray
@@ -520,8 +489,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         """Batched adjoint gridding from the compiled plan.
 
         One plan fetch (hit after the first call per trajectory), then
-        per RHS a gather and two ``bincount`` accumulates (or one CSR
-        matvec with ``backend="csr"``).
+        one sparse kernel call (or one fused numba pass) per RHS.
         """
         k_rhs = values_stack.shape[0]
         plan, hit = self._fetch_plan(coords)
@@ -543,64 +511,44 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     ) -> np.ndarray:
         """``(K, n_rows * n_tiles)`` raveled dice for a value stack.
 
-        The dice always comes from :meth:`_acquire_buffer` (the CSR
-        ``K=1`` path used to return a fresh matvec result, which the
-        caller's release then pushed into the pool unacquired —
-        corrupting the pool's outstanding-balance accounting) and is
-        released back on any failure mid-fill.
+        The dice always comes from :meth:`_acquire_buffer` (the caller
+        releases it to the pool, so a fresh matvec result must be copied
+        in, never returned) and is released back on any failure
+        mid-fill.
         """
         k_rhs = values_stack.shape[0]
-        n_flat = plan.n_rows * plan.n_tiles
-        if self.backend == "csr":
-            mat = plan.csr(self.setup.dtype)
-            dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=False)
-            try:
-                for k in range(k_rhs):
-                    dice_flat[k] = mat @ values_stack[k]
-            except BaseException:
-                self._release_buffer(dice_flat)
-                raise
-            return dice_flat
-        dice_flat = self._acquire_buffer((k_rhs, n_flat), zero=True)
+        lane = self._select_lane(plan.nnz)
+        # the fused lanes accumulate into the dice; the NumPy lane
+        # overwrites it row by row
+        dice_flat = self._acquire_buffer(
+            (k_rhs, plan.n_rows * plan.n_tiles), zero=lane != "numpy"
+        )
         try:
             sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
-            lane = self._select_lane(plan.nnz)
             if lane == "numba-parallel":
                 args = (values_stack, sample, flat, wgt, plan.row_starts, dice_flat)
             else:
                 args = (values_stack, sample, flat, wgt, dice_flat)
             if lane == "numpy" or not self._launch(lane, "scatter", *args):
                 self._used_lane = "numpy"
-                re, im = self._plan_scratch(plan.nnz)
+                mat = plan.csr()
                 for k in range(k_rhs):
-                    # real/imag gathered separately into the persistent
-                    # scratch pair: bincount's weight pass then runs on
-                    # contiguous real data with no complex temp and no
-                    # per-RHS allocation.  mode="clip" keeps take on its
-                    # direct write path (mode="raise" buffers an extra
-                    # (nnz,) temp); plan indices are validated at compile.
-                    np.take(values_stack[k].real, sample, out=re, mode="clip")
-                    np.take(values_stack[k].imag, sample, out=im, mode="clip")
-                    re *= wgt
-                    im *= wgt
-                    dice_flat[k].real = np.bincount(flat, weights=re, minlength=n_flat)
-                    dice_flat[k].imag = np.bincount(flat, weights=im, minlength=n_flat)
+                    dice_flat[k] = _real_pair_matvec(mat, values_stack[k])
         except BaseException:
             self._release_buffer(dice_flat)
             raise
         return dice_flat
 
     # ------------------------------------------------------------------
-    # interpolation (forward): gather + segment-sum / CSR matvec
+    # interpolation (forward): A.T @ x
     # ------------------------------------------------------------------
     def _interp_batch_impl(
         self, grid_stack: np.ndarray, coords: np.ndarray
     ) -> np.ndarray:
         """Batched forward interpolation from the compiled plan.
 
-        The transpose pass over the same plan: gather the raveled dice
-        at ``flat_idx``, weight, and segment-sum per sample (``A^T x``
-        with ``backend="csr"``).
+        The transpose pass over the same plan: ``A.T @ x`` per RHS,
+        summing each sample's weighted dice words.
         """
         k_rhs = grid_stack.shape[0]
         m = coords.shape[0]
@@ -626,31 +574,22 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         """``(K, m)`` interpolated samples from the raveled dice stack
         (the forward counterpart of :meth:`_apply_grid`)."""
         k_rhs = dice_flat.shape[0]
-        if self.backend == "csr":
-            mat_t = plan.csr(self.setup.dtype).T  # CSC view, no copy
-            if k_rhs == 1:
-                return (mat_t @ dice_flat[0])[None]
-            out = np.empty((k_rhs, m), dtype=self.setup.dtype)
-            for k in range(k_rhs):
-                out[k] = mat_t @ dice_flat[k]
-            return out
-        out = np.zeros((k_rhs, m), dtype=self.setup.dtype)
-        sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
         lane = self._select_lane(plan.nnz)
-        if lane == "numba-parallel":
-            args = (dice_flat, flat, wgt, *plan.sample_view(), out)
-        else:
-            args = (dice_flat, sample, flat, wgt, out)
-        if lane == "numpy" or not self._launch(lane, "gather", *args):
-            self._used_lane = "numpy"
-            re, im = self._plan_scratch(plan.nnz)
-            for k in range(k_rhs):
-                np.take(dice_flat[k].real, flat, out=re, mode="clip")
-                np.take(dice_flat[k].imag, flat, out=im, mode="clip")
-                re *= wgt
-                im *= wgt
-                out[k].real = np.bincount(sample, weights=re, minlength=m)
-                out[k].imag = np.bincount(sample, weights=im, minlength=m)
+        if lane != "numpy":
+            out = np.zeros((k_rhs, m), dtype=self.setup.dtype)
+            if lane == "numba-parallel":
+                args = (dice_flat, plan.flat_idx, plan.weight, *plan.sample_view(), out)
+            else:
+                args = (dice_flat, plan.sample_idx, plan.flat_idx, plan.weight, out)
+            if self._launch(lane, "gather", *args):
+                return out
+        self._used_lane = "numpy"
+        mat_t = plan.csr().T  # CSC view, no copy
+        if k_rhs == 1:
+            return _real_pair_matvec(mat_t, dice_flat[0])[None]
+        out = np.empty((k_rhs, m), dtype=self.setup.dtype)
+        for k in range(k_rhs):
+            out[k] = _real_pair_matvec(mat_t, dice_flat[k])
         return out
 
     # ------------------------------------------------------------------

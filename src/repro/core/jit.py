@@ -1,16 +1,14 @@
 """Numba-JIT kernels for the compiled scatter-plan engine's fused lanes.
 
 The compiled engine (:mod:`repro.core.compiled`) reduces every warm
-call to a gather plus ``bincount`` accumulates over the plan's
-``M * W^d`` entries — but that is still three full memory passes per
-RHS per direction (gather, weight-multiply, scatter/segment-sum), with
-a float64 accumulator round-trip forced by ``np.bincount`` regardless
-of the working precision.  This module holds the loops that fuse each
-direction into a single compiled pass over the plan entries:
+call on its NumPy lane to one SciPy sparse matvec per RHS over a CSR
+matrix of the plan's ``M * W^d`` entries.  This module holds the loops
+that run the same single pass directly over the plan arrays — no CSR
+matrix to build — and can shard it over threads:
 
 - **adjoint** (``scatter``): ``dice[k, flat_idx[e]] +=
-  values[k, sample_idx[e]] * weight[e]`` — replaces the real/imag
-  ``bincount`` pair with one complex accumulate pass;
+  values[k, sample_idx[e]] * weight[e]`` — one complex accumulate
+  pass;
 - **forward** (``gather``): ``out[k, sample_idx[e]] +=
   dice[k, flat_idx[e]] * weight[e]`` — the transpose segment-sum.
 
@@ -29,18 +27,19 @@ runs these loops through :func:`launch`.  ``slice_and_dice_jit`` /
 
 Numerics
 --------
-``np.bincount`` accumulates its weights sequentially in array order,
-so for float64 the serial entry-order loop performs the exact same
-additions on the exact same products in the exact same order — the
-serial JIT lane is **bit-identical** to the NumPy lane at complex128.
+The NumPy lane's sparse kernels add each product once, in ascending
+sample order per dice word and ascending row order per sample, so for
+float64 the serial entry-order loop performs the exact same additions
+on the exact same products in the exact same order — the serial JIT
+lane is **bit-identical** to the NumPy lane at complex128.
 The parallel variants preserve *per-accumulator* addition order (rows
 keep entry order inside their slab; samples accumulate in the stable
 row-ascending order), so they are bit-identical to the serial lane as
-well.  At complex64 the lanes differ by design: ``np.bincount``
-up-casts float32 weights and accumulates in float64 before rounding
-back, while the JIT lanes accumulate natively in float32 — the
-difference is bounded by the usual ``O(sqrt(nnz/m)) * eps_f32``
-segment-sum error and gated at NRMSD <= 1e-6 in the identity tests.
+well.  At complex64 every lane accumulates natively in float32; the
+NumPy lane sums real and imaginary parts separately while the JIT lanes
+multiply complex64 values, so they may differ by the usual
+``O(sqrt(nnz/m)) * eps_f32`` segment-sum error — gated at NRMSD <= 1e-6
+in the identity tests.
 
 Availability
 ------------
@@ -113,8 +112,8 @@ def scatter_plan_entries(values_stack, sample_idx, flat_idx, weight, dice_flat):
     """Serial fused adjoint: accumulate plan entries in entry order.
 
     Entry order is the plan's row-major order, so per dice word the
-    additions happen in ascending-sample order — exactly
-    ``np.bincount``'s per-bin order (bit-identical at complex128).
+    additions happen in ascending-sample order — exactly the NumPy
+    lane's per-row CSR order (bit-identical at complex128).
     """
     for k in range(values_stack.shape[0]):
         for e in range(sample_idx.shape[0]):
@@ -144,7 +143,7 @@ def gather_plan_entries(dice_flat, sample_idx, flat_idx, weight, out):
     """Serial fused forward: the transpose segment-sum in entry order.
 
     Per sample, contributions accumulate in ascending row order — the
-    serial engine's row-loop order and ``np.bincount``'s per-bin order
+    serial engine's row-loop order and the NumPy lane's CSC order
     (``out`` must arrive zeroed)."""
     for k in range(dice_flat.shape[0]):
         for e in range(sample_idx.shape[0]):

@@ -160,8 +160,11 @@ class SliceAndDiceGridder(Gridder):
         """Drop all cached decompositions / select tables.
 
         Required after mutating a coordinate array *in place* in a way
-        the O(1) fingerprint cannot observe (see module docstring);
-        passing a genuinely different array is detected automatically.
+        the O(1) fingerprint cannot observe (see module docstring).  The
+        fingerprint samples only a few rows, so a different trajectory
+        that agrees on those rows collides with a cached one and is
+        served its tables; call this before switching to such a
+        trajectory.
         """
         self._table_cache.clear()
 

@@ -139,7 +139,7 @@ class GriddingStats:
         ``setup.kernel_name``.
     exec_lane:
         How the scatter/gather arithmetic actually executed:
-        ``"numpy"`` (vectorized gather + bincount / CSR), or the JIT
+        ``"numpy"`` (vectorized NumPy / SciPy sparse kernels), or the JIT
         engine's ``"numba-serial"`` / ``"numba-parallel"`` lanes.
         Like ``parallel_backend`` this reports the lane that *ran*,
         after auto-selection and degradation.

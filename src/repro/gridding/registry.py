@@ -13,8 +13,8 @@ asserts identical output grids).  Registered engines (see
 - ``"slice_and_dice_parallel"`` — the column model sharded across a
   multicore worker pool (bit-identical to the serial engine),
 - ``"slice_and_dice_compiled"`` — the select pass compiled once per
-  trajectory into flat scatter-plan arrays; repeat calls are a gather
-  plus bincount accumulates (bit-identical to the serial engine), or
+  trajectory into flat scatter-plan arrays; repeat calls are one sparse
+  matvec per RHS (bit-identical to the serial engine), or
   numba-fused scatter/gather loops with ``lane=``,
 - ``"slice_and_dice_jit"`` — alias of the compiled engine with
   ``lane="auto"``: the numba-fused lanes when numba is importable

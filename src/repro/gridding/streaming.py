@@ -49,8 +49,8 @@ The adjoint's correctness argument rests on two facts:
 1. :meth:`~repro.core.DiceLayout.dice_to_grid` is a pure
    reshape/transpose — **no additions** happen outside the dice — so
    chunked accumulation is decided entirely inside the dice words.
-2. Per dice word, the one-shot ``bincount`` accumulates contributions
-   in ascending global sample order.  A sample reaches any one word at
+2. Per dice word, the one-shot compiled engine accumulates
+   contributions in ascending global sample order.  A sample reaches any one word at
    most once (one point per column), so entries emitted sample by
    sample also reach each word in ascending sample order; chunks
    partition the stream in order, so concatenating the chunks'
@@ -476,7 +476,6 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         super().__init__(
             setup,
             tile_size=tile_size,
-            backend="bincount",
             lane=lane,
             plan_cache_size=0,
             table_cache_size=0,

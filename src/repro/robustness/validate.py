@@ -187,6 +187,18 @@ def apply_quality_policy(
     """
     validate_policy(policy)
     report = DataQualityReport(policy=policy, n_samples=int(coords.shape[0]))
+    # Clean fast path: one flat amin/amax bounds every coordinate inside
+    # [0, min(G)) — NaN poisons both and inf fails the bound, so any
+    # non-finite coordinate falls through — and one flat isfinite clears
+    # the values.  Nothing is wrapped or non-finite, which is exactly the
+    # report the full pass below would build.
+    if (
+        coords.size
+        and np.amin(coords) >= 0.0
+        and np.amax(coords) < min(grid_shape)
+        and (values_stack is None or np.isfinite(values_stack).all())
+    ):
+        return coords, values_stack, None, report
     report.wrapped = _count_wrapped(coords, grid_shape)
 
     coords_finite = np.isfinite(coords).all(axis=1)

@@ -86,28 +86,88 @@ class TestCsrBackend:
         coords, values = random_samples(rng, 400, small_setup.grid_shape)
         gstack = random_grid_stack(rng, 3, small_setup.grid_shape)
         ser = SliceAndDiceGridder(small_setup)
-        csr = CompiledSliceAndDiceGridder(small_setup, backend="csr")
-        # documented contract: allclose(rtol=1e-12), not bit-identity
-        np.testing.assert_allclose(
-            csr.grid(coords, values), ser.grid(coords, values), rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            csr.interp_batch(gstack, coords),
-            ser.interp_batch(gstack, coords),
-            rtol=1e-12,
+        csr = CompiledSliceAndDiceGridder(small_setup)
+        # the sparse kernels keep the serial engine's summation order
+        assert np.array_equal(csr.grid(coords, values), ser.grid(coords, values))
+        assert np.array_equal(
+            csr.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
         )
 
     def test_csr_matrix_has_no_duplicates(self, tiny_setup, rng):
         # W <= T guarantees unique (sample, row) pairs, so COO->CSR
         # conversion must not have merged anything
         coords, _ = random_samples(rng, 100, tiny_setup.grid_shape)
-        com = CompiledSliceAndDiceGridder(tiny_setup, backend="csr")
+        com = CompiledSliceAndDiceGridder(tiny_setup)
         plan, _ = com._fetch_plan(tiny_setup.check_coords(coords))
         assert plan.csr().nnz == plan.nnz
 
-    def test_invalid_backend_rejected(self, tiny_setup):
-        with pytest.raises(ValueError, match="backend"):
-            CompiledSliceAndDiceGridder(tiny_setup, backend="dense")
+
+def wide_range_stack(rng, k, m):
+    """``(k, 2m)`` values spanning 1e-150..1e150 whose second half
+    exactly cancels the first (``v`` then ``-v``)."""
+    mags = 10.0 ** rng.uniform(-150, 150, (k, m))
+    v = mags * np.exp(2j * np.pi * rng.uniform(size=(k, m)))
+    return np.concatenate([v, -v], axis=1)
+
+
+def cancelling_samples(rng, k, m, grid_shape):
+    """Coordinates where every point appears twice, carrying ``v`` and
+    ``-v``, shuffled so the pairs land far apart in sample order."""
+    coords = rng.uniform(0, 1, (m, len(grid_shape))) * np.asarray(grid_shape)
+    perm = rng.permutation(2 * m)
+    return np.concatenate([coords, coords])[perm], wide_range_stack(rng, k, m)[:, perm]
+
+
+def wide_range_grids(rng, k, grid_shape):
+    """``(k,) + grid_shape`` grids spanning 1e-150..1e150 whose odd
+    planes along axis 0 negate the even ones."""
+    half = (grid_shape[0] // 2,) + tuple(grid_shape[1:])
+    v = wide_range_stack(rng, k, int(np.prod(half)) // 2)
+    stack = np.empty((k,) + tuple(grid_shape), dtype=complex)
+    stack[:, 0::2] = v.reshape((k,) + half)
+    stack[:, 1::2] = -stack[:, 0::2]
+    return stack
+
+
+class TestSparseKernelBitIdentity:
+    """The NumPy lane's sparse kernels sum in the serial engine's order
+    with the same rounding: values over 300 decades plus exact
+    cancellations make any reordering or fused multiply-add visible."""
+
+    @pytest.mark.parametrize("ndim", (2, 3))
+    def test_wide_range_bit_identical(self, small_setup, rng, ndim):
+        setup = small_setup if ndim == 2 else setup_3d()
+        coords, stack = cancelling_samples(rng, 3, 150, setup.grid_shape)
+        gstack = wide_range_grids(rng, 3, setup.grid_shape)
+        ser = SliceAndDiceGridder(setup)
+        com = CompiledSliceAndDiceGridder(setup)
+        assert np.array_equal(com.grid(coords, stack[0]), ser.grid(coords, stack[0]))
+        assert np.array_equal(com.grid_batch(coords, stack), ser.grid_batch(coords, stack))
+        assert np.array_equal(com.interp(gstack[0], coords), ser.interp(gstack[0], coords))
+        assert np.array_equal(
+            com.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
+        )
+        assert com.stats.exec_lane == "numpy"
+
+    @pytest.mark.parametrize("ndim", (2, 3))
+    def test_complex64_accumulates_in_float32(self, rng, ndim):
+        grid_shape = (32, 32) if ndim == 2 else (16, 16, 16)
+        setup = GriddingSetup(
+            grid_shape, KernelLUT(beatty_kernel(4, 2.0), 32), dtype=np.complex64
+        )
+        coords, values = random_samples(rng, 300, grid_shape)
+        gstack = random_grid_stack(rng, 3, grid_shape)
+        stack = np.stack([values, 2 * values, -values])
+        ser = SliceAndDiceGridder(setup)
+        com = CompiledSliceAndDiceGridder(setup)
+        grids = com.grid_batch(coords, stack)
+        samples = com.interp_batch(gstack, coords)
+        plan, _ = com._fetch_plan(setup.check_coords(coords))
+        assert plan.csr().data.dtype == np.float32
+        assert grids.dtype == samples.dtype == np.complex64
+        close = dict(rtol=1e-5, atol=1e-5)
+        assert np.allclose(grids, ser.grid_batch(coords, stack), **close)
+        assert np.allclose(samples, ser.interp_batch(gstack, coords), **close)
 
 
 # ----------------------------------------------------------------------
@@ -146,11 +206,6 @@ class TestExecutionLanes:
         assert event.component == "jit"
         assert (event.from_stage, event.to_stage) == ("numba-serial", "numpy")
         assert "InjectedFault" in event.reason
-
-    @pytest.mark.parametrize("lane", ("auto", "numba-serial", "numba-parallel"))
-    def test_csr_rejects_numba_lanes(self, small_setup, lane):
-        with pytest.raises(ValueError, match="csr"):
-            CompiledSliceAndDiceGridder(small_setup, backend="csr", lane=lane)
 
 
 # ----------------------------------------------------------------------

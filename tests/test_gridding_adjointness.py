@@ -29,7 +29,6 @@ ENGINES = [
         {"workers": 2, "backend": "thread", "min_parallel_ops": 0},
     ),
     ("slice_and_dice_compiled", {}),
-    ("slice_and_dice_compiled", {"backend": "csr"}),
 ]
 
 
@@ -38,7 +37,7 @@ def inner(a: np.ndarray, b: np.ndarray) -> complex:
 
 
 @pytest.mark.parametrize(
-    "name,kwargs", ENGINES, ids=["serial", "parallel", "compiled", "csr"]
+    "name,kwargs", ENGINES, ids=["serial", "parallel", "compiled"]
 )
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -62,7 +61,7 @@ def test_grid_interp_adjoint(name, kwargs, seed, m, ndim):
 
 
 @pytest.mark.parametrize(
-    "name,kwargs", ENGINES, ids=["serial", "parallel", "compiled", "csr"]
+    "name,kwargs", ENGINES, ids=["serial", "parallel", "compiled"]
 )
 @given(
     seed=st.integers(0, 2**32 - 1),

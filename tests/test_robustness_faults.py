@@ -236,6 +236,88 @@ class TestCleanPassthrough:
 
 
 # ---------------------------------------------------------------------------
+# the gate's clean fast path builds the same report as the full pass
+# ---------------------------------------------------------------------------
+def reference_report(coords, values, policy, grid_shape):
+    """The report of the full per-row pass, from first principles."""
+    bad_coords = ~np.isfinite(coords).all(axis=1)
+    bad_values = (
+        np.zeros(coords.shape[0], dtype=bool) if values is None
+        else ~np.isfinite(values).all(axis=0)
+    )
+    with np.errstate(invalid="ignore"):
+        outside = ((coords < 0.0) | (coords >= np.asarray(grid_shape))).any(axis=1)
+    n_bad = int(np.count_nonzero(bad_coords | bad_values))
+    return DataQualityReport(
+        policy=policy,
+        n_samples=coords.shape[0],
+        nonfinite_coords=int(np.count_nonzero(bad_coords)),
+        nonfinite_values=int(np.count_nonzero(bad_values)),
+        dropped=n_bad if policy == "drop" else 0,
+        zeroed=n_bad if policy == "zero" else 0,
+        wrapped=int(np.count_nonzero(outside & ~bad_coords)),
+    )
+
+
+def _gate_case(name):
+    """``(coords, values, grid_shape)`` for one named gate input."""
+    rng = np.random.default_rng(3)
+    grid_shape = (16, 32) if name.startswith("rect") else (16, 16)
+    coords = rng.uniform(0, 1, (24, 2)) * np.asarray(grid_shape)
+    values = (rng.standard_normal(24) + 1j * rng.standard_normal(24))[None, :]
+    if name == "rect":  # valid per axis, but >= min(G) on axis 1
+        coords[:4, 1] = [16.0, 20.5, 31.0, 31.999]
+    elif name == "rect_wrapped":  # below max(G) but outside axis 0
+        coords[3, 0] = 20.0
+    elif name == "at_g":
+        coords[5, 0] = 16.0
+    elif name == "neg_zero":
+        coords[2] = [-0.0, -0.0]
+    elif name == "nan_coord":
+        coords[7, 1] = np.nan
+    elif name == "inf_coord":
+        coords[9, 0] = np.inf
+        coords[11, 1] = -np.inf
+    elif name == "nan_value":
+        values[0, 4] = complex(np.nan, 0.0)
+    elif name == "inf_imag_value":
+        values[0, 6] = complex(1.0, np.inf)
+    return coords, values, grid_shape
+
+
+CLEAN_CASES = ("rect", "rect_wrapped", "at_g", "neg_zero")
+DIRTY_CASES = ("nan_coord", "inf_coord", "nan_value", "inf_imag_value")
+
+
+class TestCleanFastPath:
+    @pytest.mark.parametrize("policy", ("raise", "drop", "zero"))
+    @pytest.mark.parametrize("case", CLEAN_CASES)
+    def test_finite_cases_match_full_pass(self, case, policy):
+        coords, values, grid_shape = _gate_case(case)
+        for vals in (values, None):
+            c2, v2, bad, report = apply_quality_policy(coords, vals, policy, grid_shape)
+            assert c2 is coords and v2 is vals and bad is None
+            assert report == reference_report(coords, vals, policy, grid_shape)
+        assert report.wrapped == (1 if case in ("at_g", "rect_wrapped") else 0)
+
+    @pytest.mark.parametrize("policy", ("drop", "zero"))
+    @pytest.mark.parametrize("case", DIRTY_CASES)
+    def test_nonfinite_cases_match_full_pass(self, case, policy):
+        coords, values, grid_shape = _gate_case(case)
+        _, _, bad, report = apply_quality_policy(coords, values, policy, grid_shape)
+        expected = reference_report(coords, values, policy, grid_shape)
+        assert report == expected and not report.clean
+        assert int(np.count_nonzero(bad)) == expected.dropped + expected.zeroed
+
+    @pytest.mark.parametrize("case", DIRTY_CASES)
+    def test_nonfinite_cases_raise(self, case):
+        coords, values, grid_shape = _gate_case(case)
+        error = CoordinateError if case.endswith("coord") else DataQualityError
+        with pytest.raises(error):
+            apply_quality_policy(coords, values, "raise", grid_shape)
+
+
+# ---------------------------------------------------------------------------
 # corrupted-stream injection
 # ---------------------------------------------------------------------------
 class TestCorruptedStream:

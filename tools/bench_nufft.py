@@ -112,7 +112,6 @@ def run_benchmark(
                     (n, n),
                     coords,
                     gridder="slice_and_dice_compiled",
-                    gridder_options={"backend": "csr"},
                     fft_backend=backend,
                     precision=precision,
                     kernel=kern,

@@ -2,7 +2,7 @@
 """Trajectory gridding benchmark with a committed regression baseline.
 
 Times warm (table-/plan-cache hit) and cold gridding for the serial
-engine, both compiled-plan backends, and ``slice_and_dice_jit`` (the
+engine, the compiled-plan engine, and ``slice_and_dice_jit`` (the
 compiled engine on its numba lanes, which degrade to the NumPy lane
 when numba is absent — the record's ``exec_lane`` field says which
 lane actually ran) on a fixed random trajectory, then **appends** one record per engine to
@@ -23,7 +23,7 @@ The full problem matches the ablation benchmark
 (``benchmarks/test_ablation_compiled_plan.py``): M = 65536 samples on
 a 256^2 grid with W = 4.  Smoke mode shrinks to M = 8192 on 128^2 so
 the CI job finishes in seconds while still exercising every code path
-(plan compile, plan hit, CSR matvec).
+(plan compile, plan hit, sparse matvec).
 
 ``--dtype`` selects the working dtype: ``double`` (complex128),
 ``single`` (complex64 setup, float32 tables/weights), or ``both``
@@ -67,7 +67,6 @@ from repro.trajectories import random_trajectory  # noqa: E402
 ENGINES = {
     "slice_and_dice": {},
     "slice_and_dice_compiled": {},
-    "slice_and_dice_compiled[csr]": {"backend": "csr"},
     "slice_and_dice_jit": {},
 }
 
@@ -268,7 +267,9 @@ def check_regressions(baseline: list[dict], current: list[dict]) -> list[str]:
             if "warm_speedup_vs_serial" in b and _key(b) == _key(rec)
         ]
         if not prior:
-            continue  # no committed baseline for this shape yet
+            # no committed baseline for this shape yet; baseline shapes
+            # with no current record (retired engines) are never read
+            continue
         base = prior[-1]["warm_speedup_vs_serial"]
         now = rec["warm_speedup_vs_serial"]
         if now < base / REGRESSION_FACTOR:
