@@ -25,14 +25,15 @@ Public surface:
 - :class:`~repro.core.ParallelSliceAndDiceGridder` — the multicore
   engine: columns sharded across a worker pool with shared-memory
   accumulators, bit-identical to the serial gridder.
-- :class:`~repro.core.CompiledSliceAndDiceGridder` — the select pass
-  compiled once per trajectory into a :class:`~repro.core.CompiledPlan`
-  (flat sample/address/weight arrays); every repeat call is one sparse
-  matvec per RHS with zero select work, bit-identical to the serial
-  gridder.  Its ``lane=`` option runs the plan through the
-  numba-fused scatter/gather loops of :mod:`~repro.core.jit` (serial
-  and row/sample-sharded ``prange`` lanes), degrading to the NumPy
-  lane when numba is absent;
+- :class:`~repro.core.CompiledSliceAndDiceGridder` — the window
+  entries generated once per trajectory and kept as a
+  :class:`~repro.core.CompiledPlan` (one CSR matrix); every repeat call
+  is one sparse kernel call per RHS stack with zero select work,
+  bit-identical to the serial gridder.  Its entry generator is the one
+  the streaming engine runs per chunk.  Its ``lane=`` option runs the
+  plan through the numba-fused CSR loops of :mod:`~repro.core.jit`
+  (serial and row/sample-sharded ``prange`` lanes), degrading to the
+  NumPy lane when numba is absent;
   :class:`~repro.core.JitSliceAndDiceGridder` is that engine with
   ``lane="auto"``, registered as ``slice_and_dice_jit``.
 """

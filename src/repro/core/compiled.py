@@ -4,43 +4,62 @@ The Slice-and-Dice select pass is *coordinate-only* (§IV): which
 ``(sample, column)`` pairs pass the two-part boundary check, which tile
 each pair lands in, and what its separable kernel weight is depend on
 the trajectory alone — never on the sample values.  JIGSAW exploits
-this in hardware by streaming the select units once per sample; the
-software counterpart is to run the select pass **once per trajectory**
-and compile its result into three flat arrays over the exact
-``M * W^d`` passing checks:
+this in hardware by evaluating each sample's boundary check and LUT
+weight as the sample streams past; the software counterpart here is the
+**entry generator** (:meth:`CompiledSliceAndDiceGridder._chunk_entries`),
+which does the same in sample order, and a plan that keeps its output
+**once per trajectory** as one real-weight CSR matrix ``A`` over the
+exact ``M * W^d`` passing checks: rows are dice addresses
+``row * n_tiles + depth``, columns are samples.
 
-- ``sample_idx`` — which sample contributes,
-- ``flat_idx``   — the global dice address ``row * n_tiles + depth``,
-- ``weight``     — the combined separable kernel weight.
-
-With the plan in hand, the NumPy lane evaluates each right-hand side
-as **one** SciPy sparse kernel call over a lazily built real-weight
-CSR matrix ``A`` (rows are dice addresses, columns are samples):
-adjoint gridding is ``A @ v`` and forward interpolation is ``A.T @ x``
-(``A.T`` is a CSC view, no copy).  The complex vector is viewed as an
-``(n, 2)`` real array, so a single ``csr_matvecs``/``csc_matvecs`` call
-handles the real and imaginary parts together and fuses the gather,
-multiply and accumulate into one memory pass — no boundary-check
-arithmetic, no per-column Python loop, no LUT reads, no gather scratch.
-A complex64 setup keeps ``float32`` matrix data and accumulates
-natively in single precision.  Per-call cost drops from ``O(M * T^d)``
-to ``O(M * W^d)``, which is the payoff case for iterative
-reconstruction: every CG iteration and every SENSE coil pass after the
-first reuses the plan and does **zero select work**
+With the plan in hand, the NumPy lane evaluates a whole right-hand-side
+stack as **one** SciPy sparse kernel call: adjoint gridding is
+``A @ V`` and forward interpolation is ``A.T @ X`` (``A.T`` is a CSC
+view, no copy).  A ``(K, n)`` complex stack is viewed as an ``(n, 2K)``
+real array, so a single ``csr_matvecs``/``csc_matvecs`` call handles
+the real and imaginary parts of every RHS together and fuses the
+gather, multiply and accumulate into one memory pass — no
+boundary-check arithmetic, no per-column Python loop, no LUT reads, no
+gather scratch.  A complex64 setup keeps ``float32`` matrix data and
+accumulates natively in single precision.  Per-call cost drops from
+``O(M * T^d)`` to ``O(M * W^d)``, which is the payoff case for
+iterative reconstruction: every CG iteration and every SENSE coil pass
+after the first reuses the plan and does **zero select work**
 (``stats.cache_hits`` / ``stats.boundary_checks == 0`` make this
 observable per call).
 
+Entry generator
+---------------
+Per axis, only the ``W`` candidate columns of a sample can pass the
+two-part boundary check (:mod:`repro.core.decomposition`): the columns
+``p = (rel - j) mod T`` at forward offsets ``j = 0..W-1``.  The
+generator evaluates exactly those, with the serial engine's
+expressions — ``fwd = j + frac``, ``mask = fwd < W``, the LUT weight at
+``lut.index_of(fwd)``, the wrapped tile ``(tile - (rel < p)) mod
+count`` — ordering each axis' ``W`` columns by ascending ``p``.  The
+flat dice address is separable, ``Σ_a p_a·T^(d-1-a)·n_tiles +
+tile_a·Π_{b>a} count_b``, so a block's ``(m, W^d)`` index and weight
+arrays are one broadcast add and one broadcast multiply over the
+per-axis factors.  The only entries that can fail the check are the
+rounding edge where ``(W-1) + frac`` rounds up to ``W``; a block
+containing one is compressed on a slow path.  The streaming engine
+(:mod:`repro.gridding.streaming`) runs the same generator chunk by
+chunk, so both engines share one select implementation.
+
 Bit-identity
 ------------
-The plan stores entries in **row-major order**: columns (rows of the
-dice) ascending, and within each row the passing samples ascending —
-exactly the order :meth:`SliceAndDiceGridder._flatten_select` emits and
-the serial engine visits.  ``(dice address, sample)`` pairs are unique,
-and SciPy's COO->CSR conversion is a stable counting sort, so each CSR
-row (one ``(row, depth)`` dice word) keeps its entries in ascending
-sample order.  SciPy's ``csr_matvecs``/``csc_matvecs`` start from zeros
-and do ``y += a * x`` once per stored entry, in stored order, as a
-separate multiply and add, so
+The weights are the generator's left fold of the per-axis LUT reads in
+axis order — ``w0 * w1 * ...``, rounded exactly like the serial
+engine's column scan — so every weight is bit-equal to the serial
+engine's.  The generator emits entries sample by sample, ascending row
+within a sample: that is the CSR of ``A.T``.  ``A`` is its transpose
+through SciPy's CSC->CSR conversion, a **stable** counting sort, and
+``(dice address, sample)`` pairs are unique (``W <= T`` gives at most
+one passing point per column per sample), so each row of ``A`` (one
+dice word) holds its entries in ascending sample order.  SciPy's
+``csr_matvecs``/``csc_matvecs`` start from zeros and do ``y += a * x``
+once per stored entry, in stored order, as a separate multiply and add,
+for every column of the dense operand independently, so
 
 - per dice word, adjoint contributions sum in ascending sample order —
   the serial engine's per-column ``bincount`` order, and
@@ -48,40 +67,39 @@ separate multiply and add, so
   ascending) sum in ascending dice address, i.e. ascending row — the
   serial engine's row-loop order,
 
-both starting from ``0.0`` (``0.0 + x == x`` exactly).  The weights
-themselves are produced by the very same ``_select_column``
-expressions the serial engine evaluates.  Hence at complex128 the
-NumPy lane is **bit-identical** (``np.array_equal``) to
-:class:`SliceAndDiceGridder` in both directions — asserted in
-``tests/test_core_compiled.py`` over values spanning 1e-150..1e150 and
-exact-cancellation pairs.  At complex64 the matrix accumulates in
-float32, as the numba lanes do, so that lane is ``allclose`` to the
-serial engine rather than bit-identical.
+both starting from ``0.0`` (``0.0 + x == x`` exactly), whatever the
+number of RHS.  Hence at complex128 the NumPy lane is **bit-identical**
+(``np.array_equal``) to :class:`SliceAndDiceGridder` in both directions
+— asserted in ``tests/test_core_compiled.py`` over values spanning
+1e-150..1e150, exact-cancellation pairs, and rounding-edge coordinates.
+At complex64 the matrix accumulates in float32, as the numba lanes do,
+so that lane is ``allclose`` to the serial engine rather than
+bit-identical.
 
 Execution lanes
 ---------------
-``lane=`` picks what runs over the plan entries: ``"numpy"`` (default;
-the sparse kernel calls above) or the numba-fused loops of
-:mod:`repro.core.jit` — ``"numba-serial"``, ``"numba-parallel"``, or
-``"auto"`` (parallel at or above ``parallel_threshold`` entries).
-Every call goes through one lane path: select the lane, try the fused
-kernel, and on any failure demote stickily to ``"numpy"`` with one
-recorded :class:`~repro.errors.DegradationEvent` and replay the call on
-NumPy.  ``stats.exec_lane`` and ``stats.degradations`` report the lane
-that ran and the events fired since the last call.  The streaming
-engine inherits the same path for its chunk accumulates.
+``lane=`` picks what runs over the plan: ``"numpy"`` (default; the
+sparse kernel calls above) or the numba-fused CSR loops of
+:mod:`repro.core.jit` over ``A``'s own arrays — ``"numba-serial"``,
+``"numba-parallel"``, or ``"auto"`` (parallel at or above
+``parallel_threshold`` entries).  Every call goes through one lane
+path: select the lane, try the fused kernel, and on any failure demote
+stickily to ``"numpy"`` with one recorded
+:class:`~repro.errors.DegradationEvent` and replay the call on NumPy.
+``stats.exec_lane`` and ``stats.degradations`` report the lane that ran
+and the events fired since the last call.  The streaming engine
+inherits the same path for its chunk accumulates.
 
 Plan cache
 ----------
-Plans are memoized per trajectory with the same O(1)
-``_coords_fingerprint`` keying and true-LRU eviction as the select
-tables, and the same contract: in-place coordinate mutation requires
-:meth:`invalidate_cache`.  The fingerprint samples a few rows, so two
-different trajectories can collide on it and share a plan; call
-:meth:`invalidate_cache` when switching between trajectories that
-differ only in unsampled rows.  The per-axis tables themselves are
-only a *transient* input to compilation here (``table_cache_size=0``
-by default) — the plan replaces them.
+Plans are memoized per trajectory with true-LRU eviction, keyed on
+:func:`~repro.core.slice_and_dice.trajectory_fingerprint` — a SHA-1
+over the shape, dtype, and every coordinate byte — so two different
+trajectories never share a plan.  The key of the last array seen is
+remembered by identity: a caller that passes the same array object on
+every call (as :class:`~repro.nufft.NufftPlan` does) pays the hash
+once.  Hence an in-place coordinate mutation requires
+:meth:`invalidate_cache`.
 """
 
 from __future__ import annotations
@@ -92,6 +110,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import sparse
 
+from .decomposition import decompose_coordinates
 from ..errors import DegradationEvent
 from ..gridding.base import GriddingSetup, GriddingStats
 from . import jit as _jit
@@ -101,162 +120,144 @@ __all__ = [
     "CompiledPlan",
     "CompiledSliceAndDiceGridder",
     "JitSliceAndDiceGridder",
-    "plan_stats",
 ]
+
+#: samples per generation block: every per-axis ``(W, block)``
+#: temporary stays cache-resident, and numpy's inner loops run over a
+#: block's samples rather than over the ``W`` candidates
+_BLOCK = 8192
+
+
+def _outer(ufunc, parts: list[np.ndarray], out: np.ndarray) -> None:
+    """Per-sample outer combination of ``d`` per-axis ``(W, m)`` factors.
+
+    Writes the sample-major ``(m, W, ..., W)`` array ``out[s, k0, ...,
+    k_{d-1}] = ufunc(...ufunc(parts[0][k0, s], parts[1][k1, s])...,
+    parts[d-1][k_{d-1}, s])`` — a left fold in axis order, so a weight
+    product is rounded exactly like the column scan's ``w0 * w1 * ...``.
+    The fold runs candidate-major (inner loop over samples) and is then
+    transposed into place.
+    """
+    m = parts[0].shape[1]
+    acc = parts[0]
+    for part in parts[1:]:
+        acc = ufunc(acc[:, None, :], part[None, :, :]).reshape(-1, m)
+    out.reshape(m, -1)[...] = acc.T
+
+
+@dataclass
+class ChunkEntries:
+    """A run of samples' window entries, in sample order.
+
+    Entry ``e`` adds ``value[sample] * weight[e]`` to dice word
+    ``flat[e]``.  Entries run sample by sample and, within a sample, in
+    ascending dice row — so ``(indptr(), flat, weight)`` is the CSR of
+    the run's ``A.T`` (rows are samples).  ``aug_idx`` is the caller's
+    index buffer: any prefix it reserved, then ``flat``.  ``flat`` and
+    ``weight`` are views into the caller's buffers.
+    """
+
+    m: int                  #: samples in the run
+    wd: int                 #: candidate entries per sample, ``W^d``
+    aug_idx: np.ndarray     #: integer caller prefix, then ``flat``
+    weight: np.ndarray      #: real ``(nnz,)`` separable kernel weight per entry
+    sample: np.ndarray | None  #: int64 ``(nnz,)``; ``None``: dense, ``e // wd``
+    checks: int             #: boundary checks evaluated, ``m * W * d``
+    seconds: float          #: wall-clock of the generation
+    transient_bytes: int    #: generation temporaries, freed on return
+
+    @property
+    def nnz(self) -> int:
+        return int(self.weight.size)
+
+    @property
+    def flat(self) -> np.ndarray:
+        """``(nnz,)`` global dice address per entry."""
+        return self.aug_idx[self.aug_idx.size - self.nnz:]
+
+    def indptr(self) -> np.ndarray:
+        """int64 ``(m + 1,)`` per-sample entry offsets."""
+        if self.sample is None:
+            return np.arange(0, self.nnz + 1, self.wd, dtype=np.int64)
+        return np.searchsorted(self.sample, np.arange(self.m + 1))
+
+    def weigh(self, values: np.ndarray, out: np.ndarray) -> None:
+        """``out[e] = values[sample(e)] * weight[e]`` for a real
+        ``(m,)`` value vector (one real part of one RHS)."""
+        if self.sample is None:
+            np.multiply(
+                values[:, None],
+                self.weight.reshape(self.m, self.wd),
+                out=out.reshape(self.m, self.wd),
+            )
+        else:
+            np.take(values, self.sample, out=out, mode="clip")
+            out *= self.weight
 
 
 @dataclass
 class CompiledPlan:
-    """A trajectory's select pass, flattened to scatter-plan arrays.
+    """A trajectory's select pass as one real-weight CSR matrix ``A``.
 
-    Entries are stored in row-major order (dice rows ascending, samples
-    ascending within a row) — the property both directions'
-    bit-identity rests on (module docstring).  ``row_starts[r] :
-    row_starts[r + 1]`` is row ``r``'s contiguous slice, which is what
-    the row-sharded ``numba-parallel`` adjoint slabs on.
+    ``A`` has shape ``(n_rows * n_tiles, m)``: rows are dice addresses,
+    columns are samples, indices are int32 whenever they fit, and each
+    row holds its entries in ascending sample order — the property both
+    directions' bit-identity rests on (module docstring).
     """
 
-    sample_idx: np.ndarray  #: int64 ``(nnz,)`` contributing sample per entry
-    flat_idx: np.ndarray    #: int64 ``(nnz,)`` global dice address per entry
-    weight: np.ndarray      #: ``setup.real_dtype`` ``(nnz,)`` separable kernel weight
-    row_starts: np.ndarray  #: int64 ``(n_rows + 1,)`` per-row slice offsets
-    m: int                  #: samples in the compiled trajectory
+    matrix: sparse.csr_matrix  #: ``A``; data in ``setup.real_dtype``
     n_rows: int             #: dice rows (``T^d`` columns)
     n_tiles: int            #: dice depth (tiles per column)
-    compile_seconds: float  #: wall-clock of the flatten pass (+ the CSR build, once built)
-    table_build_seconds: float  #: wall-clock of the transient table build
-    table_bytes: int        #: bytes of the transient per-axis tables
-    _sample_order: np.ndarray | None = field(default=None, repr=False)
-    _sample_starts: np.ndarray | None = field(default=None, repr=False)
-    _csr: sparse.csr_matrix | None = field(default=None, repr=False)
+    checks: int             #: boundary checks the compile evaluated
+    compile_seconds: float  #: wall-clock of generation + transpose
+    build_bytes: int        #: transient bytes of the compile, freed on return
+    _by_sample: sparse.csr_matrix | None = field(default=None, repr=False)
 
     @property
     def nnz(self) -> int:
-        """Passing checks compiled into the plan (``M * W^d`` in the
-        interior; fewer only if the kernel LUT zeroes edge weights)."""
-        return int(self.sample_idx.size)
+        """Passing checks compiled into the plan (``M * W^d``, fewer
+        only at the ``(W-1) + frac -> W`` rounding edge)."""
+        return int(self.matrix.nnz)
 
     @property
     def nbytes(self) -> int:
-        """Resident bytes of the plan's flat arrays and, once built, of
-        its sample-major view and CSR matrix."""
-        total = (
-            self.sample_idx.nbytes
-            + self.flat_idx.nbytes
-            + self.weight.nbytes
-            + self.row_starts.nbytes
+        """Resident bytes of ``A`` and, once built, of its sample-major
+        copy."""
+        return sum(
+            mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+            for mat in (self.matrix, self._by_sample)
+            if mat is not None
         )
-        if self._sample_order is not None:
-            total += self._sample_order.nbytes + self._sample_starts.nbytes
-        if self._csr is not None:
-            mat = self._csr
-            total += mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
-        return int(total)
 
-    def sample_view(self) -> tuple[np.ndarray, np.ndarray]:
-        """Lazy sample-major view: ``(order, starts)``.
-
-        ``order`` is the **stable** argsort of ``sample_idx`` — within
-        one sample, entries keep their row-ascending plan order, so a
-        pass over ``order[starts[lo]:starts[hi]]`` accumulates each
-        sample's contributions in exactly the serial row order.  This
-        is the slab structure the sample-sharded ``numba-parallel``
-        forward uses; the NumPy lane does not need it.
-        """
-        if self._sample_order is None:
-            self._sample_order = np.argsort(self.sample_idx, kind="stable")
-            counts = np.bincount(self.sample_idx, minlength=self.m)
-            starts = np.zeros(self.m + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            self._sample_starts = starts
-        return self._sample_order, self._sample_starts
-
-    def csr(self) -> sparse.csr_matrix:
-        """Lazy ``(n_rows * n_tiles, m)`` real-weight CSR matrix of the
-        plan: rows are dice addresses, columns are samples.
-
-        ``(flat_idx, sample_idx)`` pairs are unique (``W <= T`` gives at
-        most one passing point per column per sample), so the COO->CSR
-        conversion never merges duplicates, and its stable counting sort
-        keeps each row's entries in ascending sample order.  The data
-        keeps the weights' ``setup.real_dtype`` and the indices are
-        int32 whenever the plan fits, so a complex64 setup runs the
-        kernels in float32 with no upcast.  The build time is added to
-        :attr:`compile_seconds`.
-        """
-        if self._csr is None:
-            t0 = time.perf_counter()
-            self._csr = sparse.csr_matrix(
-                (self.weight, (self.flat_idx, self.sample_idx)),
-                shape=(self.n_rows * self.n_tiles, self.m),
-            )
-            self.compile_seconds += time.perf_counter() - t0
-        return self._csr
+    def by_sample(self) -> sparse.csr_matrix:
+        """Lazy sample-major CSR ``A.T``, built only for the
+        sample-sharded ``numba-parallel`` forward.  The stable
+        conversion keeps each sample's entries in ascending dice
+        address, i.e. the serial row order."""
+        if self._by_sample is None:
+            self._by_sample = self.matrix.T.tocsr()
+        return self._by_sample
 
 
-def _real_pair_matvec(mat, vector: np.ndarray) -> np.ndarray:
-    """``mat @ vector`` for a real sparse ``mat`` and a complex vector,
-    as one sparse kernel call on the ``(n, 2)`` real view of
-    ``vector`` (real and imaginary parts side by side)."""
-    vector = np.ascontiguousarray(vector)
-    real = vector.real.dtype
-    return (mat @ vector.view(real).reshape(-1, 2)).view(vector.dtype).reshape(-1)
-
-
-def plan_stats(
-    ndim: int,
-    n_columns: int,
-    m: int,
-    n_rhs: int,
-    plan: CompiledPlan,
-    hit: bool,
-    dice_bytes: int = 0,
-) -> GriddingStats:
-    """Per-call stats for a compiled-plan pass.
-
-    A plan **miss** pays the full select pass once — ``M * T^d``
-    boundary checks, ``nnz * d`` LUT reads, and ``M * T^d`` issued lane
-    slots (the compile is the streaming pass) — plus the recorded
-    table-build and plan-compile seconds.  A plan **hit** is the paper's
-    select-unit-reuse payoff: zero boundary checks, zero LUT reads, and
-    every issued lane slot does useful work (``simd_active_lanes ==
-    simd_lane_slots == nnz`` — the gather has no divergence to waste
-    slots on).  Value work (``interpolations`` MACs, dice accesses)
-    always scales with the batch.
-
-    ``dice_bytes`` is the caller's dice residency; the
-    reported ``peak_bytes`` adds the plan itself and — on a miss — the
-    transient select tables, giving the pass' true transient high
-    water instead of the pooled-buffer bytes alone.
-    """
-    return GriddingStats(
-        boundary_checks=0 if hit else m * n_columns,
-        interpolations=plan.nnz * n_rhs,
-        samples_processed=m,
-        presort_operations=0,
-        grid_accesses=plan.nnz * n_rhs,
-        lut_lookups=0 if hit else plan.nnz * ndim,
-        simd_active_lanes=plan.nnz,
-        simd_lane_slots=plan.nnz if hit else m * n_columns,
-        cache_hits=1 if hit else 0,
-        cache_misses=0 if hit else 1,
-        table_build_seconds=0.0 if hit else plan.table_build_seconds,
-        table_bytes=0 if hit else plan.table_bytes,
-        plan_compile_seconds=0.0 if hit else plan.compile_seconds,
-        plan_nnz=plan.nnz,
-        peak_bytes=(
-            dice_bytes + plan.nbytes + (0 if hit else plan.table_bytes)
-        ),
-    )
+def _real_pair_matmul(mat, stack: np.ndarray) -> np.ndarray:
+    """``(K, rows)`` rows of ``mat @ stack[k]`` for a real sparse
+    ``mat`` and a complex ``(K, n)`` stack, as one sparse kernel call
+    on the ``(n, 2K)`` real view of ``stack.T`` (real and imaginary
+    parts side by side).  The result is a transposed view of the
+    kernel's output (C-contiguous only for ``K == 1``)."""
+    real = stack.real.dtype
+    pairs = np.ascontiguousarray(stack.T).view(real)
+    return (mat @ pairs).view(stack.dtype).T
 
 
 class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     """Slice-and-Dice with the select pass compiled per trajectory.
 
-    First call on a trajectory builds the per-axis tables (transient),
-    flattens them into a :class:`CompiledPlan`, and caches the plan;
-    every subsequent call — every further CG iteration, coil, or RHS —
-    is one sparse kernel call per RHS with **zero select work**.
+    First call on a trajectory runs the entry generator once over the
+    whole trajectory, transposes its output into a
+    :class:`CompiledPlan`, and caches the plan; every subsequent call —
+    every further CG iteration, coil, or RHS — is one sparse kernel call
+    for the whole RHS stack with **zero select work**.
 
     Parameters
     ----------
@@ -280,10 +281,6 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     plan_cache_size:
         Trajectories whose compiled plans are kept (true LRU; ``0``
         disables plan caching and recompiles every call).
-    table_cache_size:
-        Select-table cache of the parent class.  Defaults to ``0``
-        here: the tables are only a transient compilation input, and
-        keeping both them and the plan resident would double memory.
 
     Examples
     --------
@@ -321,13 +318,9 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         lane: str = "numpy",
         parallel_threshold: int = 1 << 15,
         plan_cache_size: int = 4,
-        table_cache_size: int = 0,
     ):
         super().__init__(
-            setup,
-            tile_size=tile_size,
-            engine="columns",
-            table_cache_size=table_cache_size,
+            setup, tile_size=tile_size, engine="columns", table_cache_size=0
         )
         if lane not in self._LANES:
             raise ValueError(f"lane must be one of {self._LANES}, got {lane!r}")
@@ -337,7 +330,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
         self.plan_cache_size = int(plan_cache_size)
         #: fingerprint -> CompiledPlan; dict order doubles as LRU order
-        self._plan_cache: dict[tuple, CompiledPlan] = {}
+        self._plan_cache: dict[str, CompiledPlan] = {}
+        self._candidates = self._candidate_tables()
         self.requested_lane = lane
         self.parallel_threshold = int(parallel_threshold)
         #: sticky record of every demotion this engine performed
@@ -378,9 +372,10 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             return "numba-serial"
         return self._lane
 
-    def _launch(self, lane: str, direction: str, *args) -> bool:
-        """Run the ``direction`` (``"scatter"``/``"gather"``) kernel of
-        fused lane ``lane`` (see :func:`repro.core.jit.launch`).
+    def _launch(self, lane: str, direction: str, kernel: str, *args) -> bool:
+        """Run CSR kernel ``kernel`` (a :func:`repro.core.jit.launch`
+        name) as the ``direction`` (``"scatter"``/``"gather"``) pass of
+        fused lane ``lane``.
 
         Returns ``False`` after a failure — the lane is then demoted
         stickily and the caller replays the pass on NumPy.  Fault,
@@ -388,11 +383,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         written, and this engine's NumPy paths overwrite their whole
         output, so a replay never double-counts.
         """
-        kernel = direction + (
-            "-parallel" if lane == "numba-parallel" else "-serial"
-        )
         try:
-            _jit.launch(kernel, *args, jit=lane != "serial")
+            _jit.launch(direction, kernel, *args, jit=lane != "serial")
         except (KeyboardInterrupt, SystemExit):
             raise
         except BaseException as exc:
@@ -413,17 +405,217 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         return stats
 
     # ------------------------------------------------------------------
+    # entry generation (the select + weight stages)
+    # ------------------------------------------------------------------
+    def _candidate_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-``rel`` tables of the ``W`` candidate columns, ``(W, T)``.
+
+        Column ``k`` of the ascending order is at forward offset
+        ``j = (min(rel, W-1) - k) mod W``, i.e. column ``p = (rel - j)
+        mod T``; it *wraps* into the previous tile iff ``rel < p``,
+        i.e. iff ``j > rel`` (the columns ``p <= rel`` come first).
+        Returns ``(j, wrap, p)``; ``j`` as float64, ready to add to a
+        fraction (``int + float`` converts the int exactly, so the sum
+        is the serial engine's ``fwd`` bit for bit).
+        """
+        w, t = self.setup.width, self.tile_size
+        rel = np.arange(t)
+        k = np.arange(w)[:, None]
+        j = np.mod(np.minimum(rel, w - 1) - k, w)
+        wrap = j > rel
+        return j.astype(np.float64), wrap, rel - j + t * wrap
+
+    def _axis_factors(self, coords: np.ndarray):
+        """Per-axis ``(W, m)`` candidate factors of a block of samples.
+
+        Returns ``(masks, weights, addrs)``: per axis the boundary
+        check (``None`` when every candidate passes — all but the
+        rounding edge), the LUT weight, and the axis' share of the
+        flat dice address.
+        """
+        setup = self.setup
+        lut = setup.lut
+        w, t = setup.width, self.tile_size
+        j_of, wrap_of, col_of = self._candidates
+        row_stride = self.layout.n_columns * self.layout.n_tiles
+        tile_stride = self.layout.n_tiles
+        masks, weights, addrs = [], [], []
+        for axis in range(setup.ndim):
+            # one axis at a time: elementwise the same decomposition,
+            # without (m, d)-shaped passes
+            dec = decompose_coordinates(
+                coords[:, axis:axis + 1], setup.grid_shape[axis:axis + 1],
+                t, lut.width,
+            )
+            count = dec.tile_counts[0]
+            row_stride //= t
+            tile_stride //= count
+            rel, tile = dec.rel[:, 0], dec.tile[:, 0]
+            fwd = np.take(j_of, rel, axis=1)
+            fwd += dec.frac[:, 0]
+            masks.append(fwd < w if fwd.max() >= w else None)
+            weights.append(
+                lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
+            )
+            # address = p * row_stride + ((tile - wrap) mod count) *
+            # tile_stride; the mod only bites when tile == 0 wraps
+            addr = np.take(
+                col_of * row_stride - wrap_of * tile_stride, rel, axis=1
+            )
+            addr += tile * tile_stride
+            edge = np.flatnonzero(tile == 0)
+            addr[:, edge] += (
+                np.take(wrap_of, rel[edge], axis=1) * count * tile_stride
+            )
+            addrs.append(addr)
+        return masks, weights, addrs
+
+    def _chunk_entries(
+        self, coords: np.ndarray, aug_idx: np.ndarray, wgt: np.ndarray
+    ) -> ChunkEntries:
+        """Generate the window entries of ``coords`` into caller buffers.
+
+        ``wgt`` holds ``m * W^d`` weights; ``aug_idx`` holds the same
+        number of dice addresses after a prefix the caller reserves
+        (its first ``aug_idx.size - m * W^d`` slots are left alone).
+        Evaluates the ``W`` candidate columns per axis (module
+        docstring) block by block, laid out ``(W, block)`` so every
+        numpy pass runs over samples, and combines the axes with
+        broadcast adds/multiplies written straight into the buffers.
+        When every check passes — always, except at the ``(W-1) + frac
+        → W`` rounding edge — the entries are dense: ``W^d`` per
+        sample, in ascending row order.  Otherwise the failing entries
+        are compressed out and the result carries an explicit sample
+        index.
+        """
+        t0 = time.perf_counter()
+        w, d = self.setup.width, self.setup.ndim
+        m = coords.shape[0]
+        wd = w ** d
+        prefix = aug_idx.size - m * wd
+        flat = aug_idx[prefix:]
+        edges = []  # (lo, hi, masks) of blocks holding a rounding edge
+        for lo in range(0, m, _BLOCK):
+            hi = min(lo + _BLOCK, m)
+            masks, weights, addrs = self._axis_factors(coords[lo:hi])
+            _outer(np.add, addrs, flat[lo * wd:hi * wd])
+            _outer(np.multiply, weights, wgt[lo * wd:hi * wd])
+            if any(mk is not None for mk in masks):
+                edges.append((lo, hi, masks))
+        # generation temporaries of one block: ~4 (b,) decomposition
+        # arrays per axis, the kept (W, b) factors (mask, float64 LUT
+        # read, weight, address) plus ~4 in-flight ones, and the
+        # (W^(d-1), b) and (W^d, b) folds of _outer
+        b = min(m, _BLOCK)
+        transient = (
+            4 * d * b * 8
+            + (d * 25 + 4 * 8) * w * b
+            + (wd + wd // w) * b * 8
+        )
+        sample = None
+        if edges:
+            keep_mask = np.ones(m * wd, dtype=bool)
+            for lo, hi, masks in edges:
+                full = np.ones((w, hi - lo), dtype=bool)
+                _outer(
+                    np.logical_and,
+                    [full if mk is None else mk for mk in masks],
+                    keep_mask[lo * wd:hi * wd],
+                )
+            keep = np.flatnonzero(keep_mask)
+            nnz = keep.size
+            aug_idx[prefix:prefix + nnz] = flat[keep]
+            wgt[:nnz] = wgt[keep]
+            sample = keep // wd
+            aug_idx, wgt = aug_idx[:prefix + nnz], wgt[:nnz]
+            # kept masks + combined mask + keep/sample + compressed copies
+            transient += len(edges) * d * w * b + m * wd + nnz * (24 + 8)
+        return ChunkEntries(
+            m=m,
+            wd=wd,
+            aug_idx=aug_idx,
+            weight=wgt,
+            sample=sample,
+            checks=m * w * d,
+            seconds=time.perf_counter() - t0,
+            transient_bytes=transient,
+        )
+
+    # ------------------------------------------------------------------
     # plan cache
     # ------------------------------------------------------------------
     def invalidate_cache(self) -> None:
-        """Drop cached plans *and* the parent's cached select tables."""
+        """Drop cached plans and the remembered key of the last
+        coordinate array."""
         super().invalidate_cache()
         self._plan_cache.clear()
 
-    def _dice_bytes(self, plan: CompiledPlan, k_rhs: int) -> int:
-        """Dice residency of a ``K``-RHS pass (the ``dice_bytes`` input
-        of :func:`plan_stats`)."""
-        return k_rhs * plan.n_rows * plan.n_tiles * self.setup.dtype.itemsize
+    def _plan_stats(
+        self, m: int, n_rhs: int, plan: CompiledPlan, hit: bool
+    ) -> GriddingStats:
+        """Per-call stats for a compiled-plan pass, stamped with the lane.
+
+        A plan **miss** pays the generator's select work once — ``M * W * d``
+        boundary checks and LUT reads, ``M * W^d`` issued lane slots — plus
+        the recorded compile seconds; no select tables are built.  A plan
+        **hit** is the paper's select-unit-reuse payoff: zero boundary
+        checks, zero LUT reads, and every issued lane slot does useful
+        work (``simd_active_lanes == simd_lane_slots == nnz`` — the
+        gather has no divergence to waste slots on).  Value work
+        (``interpolations`` MACs, dice accesses) always scales with the
+        batch.  ``peak_bytes`` is the ``K``-RHS dice plus the plan and —
+        on a miss — the compile's transient bytes.
+        """
+        dice_bytes = n_rhs * plan.n_rows * plan.n_tiles * self.setup.dtype.itemsize
+        return self._stamp(GriddingStats(
+            boundary_checks=0 if hit else plan.checks,
+            interpolations=plan.nnz * n_rhs,
+            samples_processed=m,
+            presort_operations=0,
+            grid_accesses=plan.nnz * n_rhs,
+            lut_lookups=0 if hit else plan.checks,
+            simd_active_lanes=plan.nnz,
+            simd_lane_slots=(
+                plan.nnz if hit else m * self.setup.width ** self.setup.ndim
+            ),
+            cache_hits=1 if hit else 0,
+            cache_misses=0 if hit else 1,
+            plan_compile_seconds=0.0 if hit else plan.compile_seconds,
+            plan_nnz=plan.nnz,
+            peak_bytes=(
+                dice_bytes + plan.nbytes + (0 if hit else plan.build_bytes)
+            ),
+        ))
+
+    def _compile(self, coords: np.ndarray) -> CompiledPlan:
+        """Generate the trajectory's entries in one pass and transpose
+        them (a stable counting sort) into the dice-major matrix."""
+        t0 = time.perf_counter()
+        m = coords.shape[0]
+        n_flat = self.layout.n_columns * self.layout.n_tiles
+        nnz = m * self.setup.width ** self.setup.ndim
+        index = np.int32 if n_flat <= np.iinfo(np.int32).max else np.int64
+        entries = self._chunk_entries(
+            coords,
+            np.empty(nnz, dtype=index),
+            np.empty(nnz, dtype=self.setup.real_dtype),
+        )
+        by_sample = sparse.csr_matrix(
+            (entries.weight, entries.flat, entries.indptr()),
+            shape=(m, n_flat),
+        )
+        matrix = by_sample.T.tocsr()
+        build_bytes = entries.transient_bytes + sum(
+            a.nbytes for a in (by_sample.data, by_sample.indices, by_sample.indptr)
+        )
+        return CompiledPlan(
+            matrix=matrix,
+            n_rows=self.layout.n_columns,
+            n_tiles=self.layout.n_tiles,
+            checks=entries.checks,
+            compile_seconds=time.perf_counter() - t0,
+            build_bytes=build_bytes,
+        )
 
     def _fetch_plan(self, coords: np.ndarray) -> tuple[CompiledPlan, bool]:
         """The trajectory's compiled plan plus whether it was a cache hit.
@@ -431,30 +623,14 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         Same fingerprint keying, LRU move-to-end, and in-place-mutation
         contract as the parent's table cache.
         """
-        key = self._coords_fingerprint(coords) if self.plan_cache_size else None
+        key = self._coords_key(coords) if self.plan_cache_size else None
         if key is not None:
             cached = self._plan_cache.get(key)
             if cached is not None:
                 self._plan_cache.pop(key)
                 self._plan_cache[key] = cached
                 return cached, True
-
-        tables, fetch = self._fetch_tables(coords)
-        t0 = time.perf_counter()
-        sample_idx, flat_idx, weight, row_starts = self._flatten_select(tables)
-        compile_seconds = time.perf_counter() - t0
-        plan = CompiledPlan(
-            sample_idx=sample_idx,
-            flat_idx=flat_idx,
-            weight=weight,
-            row_starts=row_starts,
-            m=coords.shape[0],
-            n_rows=self.layout.n_columns,
-            n_tiles=self.layout.n_tiles,
-            compile_seconds=compile_seconds,
-            table_build_seconds=fetch.build_seconds,
-            table_bytes=fetch.table_bytes,
-        )
+        plan = self._compile(coords)
         if key is not None:
             while len(self._plan_cache) >= self.plan_cache_size:
                 self._plan_cache.pop(next(iter(self._plan_cache)))
@@ -475,10 +651,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             )
         finally:
             self._release_buffer(dice_flat)
-        self.stats = self._stamp(plan_stats(
-            self.setup.ndim, self.layout.n_columns, coords.shape[0], 1, plan,
-            hit, dice_bytes=self._dice_bytes(plan, 1),
-        ))
+        self.stats = self._plan_stats(coords.shape[0], 1, plan, hit)
 
     def _grid_batch_impl(
         self,
@@ -489,7 +662,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         """Batched adjoint gridding from the compiled plan.
 
         One plan fetch (hit after the first call per trajectory), then
-        one sparse kernel call (or one fused numba pass) per RHS.
+        one sparse kernel call (or one fused numba pass) for the stack.
         """
         k_rhs = values_stack.shape[0]
         plan, hit = self._fetch_plan(coords)
@@ -501,10 +674,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
                 )
         finally:
             self._release_buffer(dice_flat)
-        self.stats = self._stamp(plan_stats(
-            self.setup.ndim, self.layout.n_columns, coords.shape[0], k_rhs,
-            plan, hit, dice_bytes=self._dice_bytes(plan, k_rhs),
-        ))
+        self.stats = self._plan_stats(coords.shape[0], k_rhs, plan, hit)
 
     def _apply_grid(
         self, plan: CompiledPlan, values_stack: np.ndarray
@@ -512,28 +682,26 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
         """``(K, n_rows * n_tiles)`` raveled dice for a value stack.
 
         The dice always comes from :meth:`_acquire_buffer` (the caller
-        releases it to the pool, so a fresh matvec result must be copied
+        releases it to the pool, so a fresh matmul result must be copied
         in, never returned) and is released back on any failure
         mid-fill.
         """
         k_rhs = values_stack.shape[0]
         lane = self._select_lane(plan.nnz)
         # the fused lanes accumulate into the dice; the NumPy lane
-        # overwrites it row by row
+        # overwrites it
         dice_flat = self._acquire_buffer(
             (k_rhs, plan.n_rows * plan.n_tiles), zero=lane != "numpy"
         )
         try:
-            sample, flat, wgt = plan.sample_idx, plan.flat_idx, plan.weight
-            if lane == "numba-parallel":
-                args = (values_stack, sample, flat, wgt, plan.row_starts, dice_flat)
-            else:
-                args = (values_stack, sample, flat, wgt, dice_flat)
-            if lane == "numpy" or not self._launch(lane, "scatter", *args):
+            mat = plan.matrix
+            kernel = "rows-parallel" if lane == "numba-parallel" else "rows-serial"
+            if lane == "numpy" or not self._launch(
+                lane, "scatter", kernel,
+                values_stack, mat.indptr, mat.indices, mat.data, dice_flat,
+            ):
                 self._used_lane = "numpy"
-                mat = plan.csr()
-                for k in range(k_rhs):
-                    dice_flat[k] = _real_pair_matvec(mat, values_stack[k])
+                dice_flat[...] = _real_pair_matmul(mat, values_stack)
         except BaseException:
             self._release_buffer(dice_flat)
             raise
@@ -547,8 +715,8 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     ) -> np.ndarray:
         """Batched forward interpolation from the compiled plan.
 
-        The transpose pass over the same plan: ``A.T @ x`` per RHS,
-        summing each sample's weighted dice words.
+        The transpose pass over the same plan: ``A.T @ X`` for the
+        stack, summing each sample's weighted dice words.
         """
         k_rhs = grid_stack.shape[0]
         m = coords.shape[0]
@@ -562,10 +730,7 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
             out = self._apply_interp(plan, dice_flat, m)
         finally:
             self._release_buffer(dice_flat)
-        self.stats = self._stamp(plan_stats(
-            self.setup.ndim, self.layout.n_columns, m, k_rhs, plan, hit,
-            dice_bytes=self._dice_bytes(plan, k_rhs),
-        ))
+        self.stats = self._plan_stats(m, k_rhs, plan, hit)
         return out
 
     def _apply_interp(
@@ -573,34 +738,33 @@ class CompiledSliceAndDiceGridder(SliceAndDiceGridder):
     ) -> np.ndarray:
         """``(K, m)`` interpolated samples from the raveled dice stack
         (the forward counterpart of :meth:`_apply_grid`)."""
-        k_rhs = dice_flat.shape[0]
         lane = self._select_lane(plan.nnz)
         if lane != "numpy":
-            out = np.zeros((k_rhs, m), dtype=self.setup.dtype)
+            out = np.zeros((dice_flat.shape[0], m), dtype=self.setup.dtype)
             if lane == "numba-parallel":
-                args = (dice_flat, plan.flat_idx, plan.weight, *plan.sample_view(), out)
+                mat, kernel = plan.by_sample(), "rows-parallel"
             else:
-                args = (dice_flat, plan.sample_idx, plan.flat_idx, plan.weight, out)
-            if self._launch(lane, "gather", *args):
+                mat, kernel = plan.matrix, "cols-serial"
+            if self._launch(
+                lane, "gather", kernel,
+                dice_flat, mat.indptr, mat.indices, mat.data, out,
+            ):
                 return out
         self._used_lane = "numpy"
-        mat_t = plan.csr().T  # CSC view, no copy
-        if k_rhs == 1:
-            return _real_pair_matvec(mat_t, dice_flat[0])[None]
-        out = np.empty((k_rhs, m), dtype=self.setup.dtype)
-        for k in range(k_rhs):
-            out[k] = _real_pair_matvec(mat_t, dice_flat[k])
-        return out
+        return _real_pair_matmul(plan.matrix.T, dice_flat)
 
     # ------------------------------------------------------------------
     def address_trace(self, coords: np.ndarray) -> np.ndarray:
-        """Dice addresses in processing order — exactly the plan's
-        ``flat_idx`` (row-major), so the trace is free once compiled."""
+        """Dice addresses in the serial engine's processing order (dice
+        rows ascending, samples ascending within a row), read off the
+        plan's matrix."""
         coords = self.setup.check_coords(coords)
         if coords.shape[0] == 0:
             return np.zeros(0, dtype=np.int64)
         plan, _ = self._fetch_plan(coords)
-        return plan.flat_idx.copy()
+        mat = plan.matrix
+        addr = np.repeat(np.arange(mat.shape[0]), np.diff(mat.indptr))
+        return addr[np.lexsort((mat.indices, addr // plan.n_tiles))]
 
 
 class JitSliceAndDiceGridder(CompiledSliceAndDiceGridder):

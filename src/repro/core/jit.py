@@ -1,23 +1,27 @@
 """Numba-JIT kernels for the compiled scatter-plan engine's fused lanes.
 
-The compiled engine (:mod:`repro.core.compiled`) reduces every warm
-call on its NumPy lane to one SciPy sparse matvec per RHS over a CSR
-matrix of the plan's ``M * W^d`` entries.  This module holds the loops
-that run the same single pass directly over the plan arrays — no CSR
-matrix to build — and can shard it over threads:
+The compiled engine (:mod:`repro.core.compiled`) keeps a trajectory's
+``M * W^d`` window entries as one CSR matrix ``A`` (rows are dice
+addresses, columns are samples), and its NumPy lane runs one SciPy
+sparse call per RHS stack over it.  This module holds the loops that
+run the same single pass over any CSR matrix's ``(indptr, indices,
+data)`` arrays, and can shard it over threads:
 
-- **adjoint** (``scatter``): ``dice[k, flat_idx[e]] +=
-  values[k, sample_idx[e]] * weight[e]`` — one complex accumulate
-  pass;
-- **forward** (``gather``): ``out[k, sample_idx[e]] +=
-  dice[k, flat_idx[e]] * weight[e]`` — the transpose segment-sum.
+- :func:`csr_rows` — ``y[k, r] += Σ x[k, indices[e]] * data[e]`` over
+  row ``r``'s entries, accumulated in a register in stored order (a
+  matvec; ``prange`` over rows in its parallel build — rows own their
+  accumulators, so the shards never race);
+- :func:`csr_cols` — ``y[k, indices[e]] += x[k, r] * data[e]``, rows
+  ascending and each row's entries in stored order (the transposed
+  matvec; serial only).
 
-Each has a serial variant that walks the plan in entry order and a
-``parallel=True`` ``prange`` variant sharded over the plan's natural
-slab structure: **rows** for the adjoint (``row_starts`` — each dice
-row is owned by exactly one entry slab, so row-sharded scatters never
-race) and **samples** for the forward (the plan's stable
-:meth:`~repro.core.compiled.CompiledPlan.sample_view`).
+The compiled engine's adjoint (``scatter``) is :func:`csr_rows` over
+``A``; its serial forward (``gather``) is :func:`csr_cols` over ``A``,
+and its sample-sharded forward is the parallel :func:`csr_rows` over
+the plan's lazy sample-major copy
+(:meth:`~repro.core.compiled.CompiledPlan.by_sample`).  The streaming
+engine runs the same two loops over each chunk's sample-major entries:
+:func:`csr_cols` to scatter, :func:`csr_rows` to gather.
 
 The engine side — lane selection, sticky demotion, replay on NumPy,
 and event stamping — lives in
@@ -29,12 +33,12 @@ Numerics
 --------
 The NumPy lane's sparse kernels add each product once, in ascending
 sample order per dice word and ascending row order per sample, so for
-float64 the serial entry-order loop performs the exact same additions
-on the exact same products in the exact same order — the serial JIT
-lane is **bit-identical** to the NumPy lane at complex128.
-The parallel variants preserve *per-accumulator* addition order (rows
-keep entry order inside their slab; samples accumulate in the stable
-row-ascending order), so they are bit-identical to the serial lane as
+float64 the serial loops perform the exact same additions on the exact
+same products in the exact same order — the serial JIT lane is
+**bit-identical** to the NumPy lane at complex128.  The parallel build
+keeps every accumulator's addition order (a row's entries stay in
+stored order; a sample's entries in the sample-major copy stay in
+ascending row order), so it is bit-identical to the serial lane as
 well.  At complex64 every lane accumulates natively in float32; the
 NumPy lane sums real and imaginary parts separately while the JIT lanes
 multiply complex64 values, so they may differ by the usual
@@ -68,14 +72,11 @@ except ImportError:
 
 __all__ = [
     "JitSliceAndDiceGridder",
+    "csr_cols",
+    "csr_rows",
     "jit_available",
     "launch",
     "numba_version",
-    "plan_kernels",
-    "scatter_plan_entries",
-    "scatter_plan_rows",
-    "gather_plan_entries",
-    "gather_plan_samples",
 ]
 
 #: comma-separated env list marking JIT backends unavailable without
@@ -108,101 +109,52 @@ def numba_version() -> str | None:
 # ----------------------------------------------------------------------
 
 
-def scatter_plan_entries(values_stack, sample_idx, flat_idx, weight, dice_flat):
-    """Serial fused adjoint: accumulate plan entries in entry order.
-
-    Entry order is the plan's row-major order, so per dice word the
-    additions happen in ascending-sample order — exactly the NumPy
-    lane's per-row CSR order (bit-identical at complex128).
-    """
-    for k in range(values_stack.shape[0]):
-        for e in range(sample_idx.shape[0]):
-            dice_flat[k, flat_idx[e]] += values_stack[k, sample_idx[e]] * weight[e]
-
-
-def scatter_plan_rows(
-    values_stack, sample_idx, flat_idx, weight, row_starts, dice_flat
-):
-    """Row-sharded fused adjoint (``prange`` over dice rows).
-
-    Every entry of row ``r`` lands in dice row ``r`` (the plan's
-    ownership invariant), so concurrent rows never touch the same
-    accumulator, and in-row entry order is preserved — numerically
-    identical to :func:`scatter_plan_entries`.
-    """
-    n_rows = row_starts.shape[0] - 1
-    for k in range(values_stack.shape[0]):
+def csr_rows(x, indptr, indices, data, y):
+    """Row pass: ``y[k, r] += Σ_e x[k, indices[e]] * data[e]`` over row
+    ``r``'s entries, in stored order, in a register seeded with
+    ``y[k, r]`` (``prange`` over rows in the parallel build)."""
+    n_rows = indptr.shape[0] - 1
+    for k in range(x.shape[0]):
         for r in _prange(n_rows):
-            for e in range(row_starts[r], row_starts[r + 1]):
-                dice_flat[k, flat_idx[e]] += (
-                    values_stack[k, sample_idx[e]] * weight[e]
-                )
+            acc = y[k, r]
+            for e in range(indptr[r], indptr[r + 1]):
+                acc = acc + x[k, indices[e]] * data[e]
+            y[k, r] = acc
 
 
-def gather_plan_entries(dice_flat, sample_idx, flat_idx, weight, out):
-    """Serial fused forward: the transpose segment-sum in entry order.
-
-    Per sample, contributions accumulate in ascending row order — the
-    serial engine's row-loop order and the NumPy lane's CSC order
-    (``out`` must arrive zeroed)."""
-    for k in range(dice_flat.shape[0]):
-        for e in range(sample_idx.shape[0]):
-            out[k, sample_idx[e]] += dice_flat[k, flat_idx[e]] * weight[e]
-
-
-def gather_plan_samples(dice_flat, flat_idx, weight, order, starts, out):
-    """Sample-sharded fused forward (``prange`` over samples).
-
-    ``(order, starts)`` is the plan's stable sample-major view: within
-    one sample, entries keep their row-ascending order, so each
-    sample's register accumulation performs the serial additions in the
-    serial order (``out`` must arrive zeroed — its slot seeds the
-    typed accumulator)."""
-    m = starts.shape[0] - 1
-    for k in range(dice_flat.shape[0]):
-        for s in _prange(m):
-            acc = out[k, s]
-            for j in range(starts[s], starts[s + 1]):
-                e = order[j]
-                acc = acc + dice_flat[k, flat_idx[e]] * weight[e]
-            out[k, s] = acc
+def csr_cols(x, indptr, indices, data, y):
+    """Transposed pass: ``y[k, indices[e]] += x[k, r] * data[e]``, rows
+    ascending and each row's entries in stored order."""
+    n_rows = indptr.shape[0] - 1
+    for k in range(x.shape[0]):
+        for r in range(n_rows):
+            for e in range(indptr[r], indptr[r + 1]):
+                y[k, indices[e]] += x[k, r] * data[e]
 
 
 #: the raw loop bodies, keyed like the njit dispatchers of _compiled()
 _RAW = {
-    "scatter-serial": scatter_plan_entries,
-    "scatter-parallel": scatter_plan_rows,
-    "gather-serial": gather_plan_entries,
-    "gather-parallel": gather_plan_samples,
+    "rows-serial": csr_rows,
+    "rows-parallel": csr_rows,
+    "cols-serial": csr_cols,
 }
 
 _COMPILED: dict[str, object] | None = None
 
 
-def plan_kernels(jit: bool = True) -> dict[str, object]:
-    """Entry-order scatter/gather kernels for plan execution.
+def launch(direction: str, kernel: str, *args, jit: bool = True) -> None:
+    """Run CSR kernel ``kernel`` (``"rows-serial"``, ``"rows-parallel"``
+    or ``"cols-serial"``) on ``args`` as a ``direction`` (``"scatter"``
+    / ``"gather"``) pass.
 
-    With ``jit=True`` (and numba importable / not disabled) the
-    returned callables are the njit dispatchers of :func:`_compiled`;
-    otherwise they are the raw Python loop bodies — same arithmetic in
-    the same order, just interpreted.
-    """
-    if jit and jit_available():
-        return dict(_compiled())
-    return dict(_RAW)
-
-
-def launch(kernel: str, *args, jit: bool = True) -> None:
-    """Run one plan kernel (a :func:`plan_kernels` key such as
-    ``"scatter-serial"``) on ``args``.
-
-    ``jit=True`` passes the ``jit:scatter`` / ``jit:gather`` fault site
-    and then runs the njit dispatcher, compiling it on first use;
-    ``jit=False`` runs the raw Python loop body.  Fault, dispatch, and
-    compile failures all raise before any entry is written.
+    ``jit=True`` passes the ``jit:<direction>`` fault site and then
+    runs the njit dispatcher, compiling it on first use; ``jit=False``
+    runs the raw Python loop body — same arithmetic in the same order,
+    just interpreted.  Fault, dispatch, and compile failures all raise
+    before any entry is written.
     """
     if jit:
-        fault_point("jit:" + kernel.split("-")[0])
+        fault_point("jit:" + direction)
         kernels = _compiled()
     else:
         kernels = _RAW

@@ -29,27 +29,26 @@ fixed trajectory (one per coil per CG iteration — the paper's
   ``bincount`` accumulate, so the select work is paid once for all
   ``K`` coils.
 - The coordinate decomposition and per-axis select tables (three
-  ``(T, M)`` arrays per axis) are cached keyed on a cheap fingerprint
-  of the (canonicalized) coordinates — shape plus first/middle/last
-  sample bytes plus a strided checksum.  Repeated calls on the same
-  trajectory (every CG iteration) skip the ``M*T*d`` table build
-  entirely.  The fingerprint reads O(1) samples, so an in-place
-  mutation that preserves the probed entries is *not* detected — call
+  ``(T, M)`` arrays per axis) are cached keyed on
+  :func:`trajectory_fingerprint` of the (canonicalized) coordinates —
+  a SHA-1 over the shape, dtype, and every coordinate byte, so two
+  different trajectories never share tables.  The gridder remembers
+  the key of the last array it hashed and reuses it when the *same
+  object* comes back, so a caller that passes one array on every call
+  (every CG iteration of a :class:`~repro.nufft.NufftPlan`) hashes it
+  once; a new array is hashed in full (a few milliseconds per 10⁵
+  samples, far below the ``M*T*d`` table build it guards).  Hence an
+  in-place mutation of that array is *not* detected — call
   :meth:`invalidate_cache` after mutating a coordinate array in place.
   Cache events, build time, and resident table bytes are reported
   per call in ``stats.cache_hits``, ``stats.cache_misses``,
   ``stats.table_build_seconds`` and ``stats.table_bytes``; eviction
   is true LRU (a re-hit trajectory moves to most-recently-used).
-
-The select pass is also *compilable*: :meth:`_flatten_select` runs the
-column loop once and records every passing ``(sample, column)`` pair as
-flat index/weight arrays — the hook :class:`repro.core.compiled.
-CompiledSliceAndDiceGridder` builds its trajectory-compiled scatter
-plans on.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import dataclass
 
@@ -63,7 +62,29 @@ from .decomposition import (
 )
 from .layout import DiceLayout
 
-__all__ = ["SliceAndDiceGridder", "TableFetch"]
+__all__ = ["SliceAndDiceGridder", "TableFetch", "trajectory_fingerprint"]
+
+
+def trajectory_fingerprint(coords: np.ndarray) -> str:
+    """Hex content key of a coordinate array: SHA-1 over its shape,
+    dtype, and every byte (C order).
+
+    The one trajectory identity of the package — the gridders' table
+    and plan caches and the service's affinity routing and warm-plan
+    caches all key on it, so equal keys mean equal trajectories.
+
+    Examples
+    --------
+    >>> a = np.arange(6.0).reshape(3, 2)
+    >>> trajectory_fingerprint(a) == trajectory_fingerprint(a.copy())
+    True
+    >>> trajectory_fingerprint(a) == trajectory_fingerprint(a[::-1])
+    False
+    """
+    coords = np.ascontiguousarray(coords)
+    h = hashlib.sha1(repr((coords.shape, coords.dtype.str)).encode())
+    h.update(coords.reshape(-1).view(np.uint8))
+    return h.hexdigest()
 
 
 @dataclass(frozen=True)
@@ -147,7 +168,9 @@ class SliceAndDiceGridder(Gridder):
             )
         #: fingerprint -> (dec, masks, weights, tiles); ordered oldest
         #: -> most recently used (dict order doubles as the LRU order)
-        self._table_cache: dict[tuple, tuple] = {}
+        self._table_cache: dict[str, tuple] = {}
+        #: ``(array, key)`` of the last coordinate array hashed
+        self._last_key: tuple[np.ndarray, str] | None = None
 
     @property
     def tile_size(self) -> int:
@@ -159,34 +182,23 @@ class SliceAndDiceGridder(Gridder):
     def invalidate_cache(self) -> None:
         """Drop all cached decompositions / select tables.
 
-        Required after mutating a coordinate array *in place* in a way
-        the O(1) fingerprint cannot observe (see module docstring).  The
-        fingerprint samples only a few rows, so a different trajectory
-        that agrees on those rows collides with a cached one and is
-        served its tables; call this before switching to such a
-        trajectory.
+        Required after mutating a coordinate array *in place*: the
+        gridder reuses the key of an array object it has already
+        hashed (see module docstring).
         """
         self._table_cache.clear()
+        self._last_key = None
 
-    @staticmethod
-    def _coords_fingerprint(coords: np.ndarray) -> tuple:
-        """Cheap content key for a canonicalized ``(M, d)`` coord array.
-
-        Reads O(1) rows (first/middle/last) plus a strided checksum of
-        at most 16 rows — negligible next to the ``M*T*d`` table build
-        it guards.  Deterministic across the copies ``check_coords``
-        makes, so repeated calls on one trajectory hit regardless of
-        array identity.
-        """
-        m = coords.shape[0]
-        step = max(1, m // 16)
-        return (
-            coords.shape,
-            coords[0].tobytes(),
-            coords[m // 2].tobytes(),
-            coords[-1].tobytes(),
-            float(coords[::step].sum()),
-        )
+    def _coords_key(self, coords: np.ndarray) -> str:
+        """Cache key of a canonicalized ``(M, d)`` coordinate array:
+        :func:`trajectory_fingerprint`, reused while the same array
+        object comes back."""
+        last = self._last_key
+        if last is not None and last[0] is coords:
+            return last[1]
+        key = trajectory_fingerprint(coords)
+        self._last_key = (coords, key)
+        return key
 
     def _fetch_tables(self, coords: np.ndarray) -> tuple[tuple, TableFetch]:
         """Per-axis select tables plus this fetch's cache event.
@@ -200,13 +212,13 @@ class SliceAndDiceGridder(Gridder):
         ``max(tile_counts) - 1``) — plus the decomposition itself,
         bundled with a :class:`TableFetch` describing *this* fetch.
 
-        Results are memoized keyed on :meth:`_coords_fingerprint` with
+        Results are memoized keyed on :meth:`_coords_key` with
         true LRU eviction: a hit moves the entry to most-recently-used,
         so a trajectory in active use survives interleaved traffic on
         other trajectories.  The fetch outcome is returned, not stored,
         so the stats of one call can never leak into another.
         """
-        key = self._coords_fingerprint(coords) if self.table_cache_size else None
+        key = self._coords_key(coords) if self.table_cache_size else None
         if key is not None:
             cached = self._table_cache.get(key)
             if cached is not None:
@@ -388,9 +400,8 @@ class SliceAndDiceGridder(Gridder):
         Returns ``(hit, wgt, depth)``: the passing sample indices
         (ascending), their combined separable weights, and their global
         tile addresses.  This is the coordinate-only half of the column
-        model — shared verbatim by gridding, interpolation, and the
-        scatter-plan compiler (:meth:`_flatten_select`), which is what
-        makes all three bit-comparable.
+        model — shared verbatim by gridding and interpolation, which is
+        what makes the two bit-comparable.
         """
         setup = self.setup
         dec, masks, weights, tiles = tables
@@ -407,62 +418,6 @@ class SliceAndDiceGridder(Gridder):
             wgt = wgt * weights[axis][column[axis]][hit]
             depth = depth * counts[axis] + tiles[axis][column[axis]][hit]
         return hit, wgt, depth
-
-    def _flatten_select(
-        self, tables: tuple
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten the select tables into flat scatter-plan arrays.
-
-        Runs the column loop once over the whole sample stream and
-        concatenates the per-column select results in row-major order:
-
-        - ``sample_idx`` — int64 ``(nnz,)`` passing sample indices,
-        - ``flat_idx`` — int64 ``(nnz,)`` global dice addresses
-          ``row * n_tiles + depth``,
-        - ``weight`` — ``setup.real_dtype`` ``(nnz,)`` combined
-          separable weights,
-        - ``row_starts`` — int64 ``(T^d + 1,)`` offsets of each row's
-          slice in the flat arrays (``row_starts[r]:row_starts[r+1]``),
-
-        with ``nnz`` exactly the ``M * W^d`` passing checks.  Row-major
-        order with ascending samples inside each row preserves *both*
-        accumulation orders of the serial engine: entries of one
-        ``(row, depth)`` dice word appear in ascending sample order
-        (gridding), and entries of one sample appear in ascending row
-        order (interpolation) — the bit-identity argument of
-        :class:`repro.core.compiled.CompiledSliceAndDiceGridder`.
-        """
-        dec = tables[0]
-        m = dec.n_samples
-        n_tiles = self.layout.n_tiles
-        columns = self.layout.columns()
-        n_rows = columns.shape[0]
-        sample_pieces: list[np.ndarray] = []
-        flat_pieces: list[np.ndarray] = []
-        weight_pieces: list[np.ndarray] = []
-        row_starts = np.zeros(n_rows + 1, dtype=np.int64)
-        for row in range(n_rows):
-            hit, wgt, depth = self._select_column(tables, columns[row], 0, m)
-            row_starts[row + 1] = row_starts[row] + hit.size
-            if hit.size == 0:
-                continue
-            sample_pieces.append(hit)
-            flat_pieces.append(row * n_tiles + depth)
-            weight_pieces.append(wgt)
-        if not sample_pieces:
-            empty = np.zeros(0, dtype=np.int64)
-            return (
-                empty,
-                empty.copy(),
-                np.zeros(0, dtype=self.setup.real_dtype),
-                row_starts,
-            )
-        return (
-            np.concatenate(sample_pieces),
-            np.concatenate(flat_pieces),
-            np.concatenate(weight_pieces),
-            row_starts,
-        )
 
     def _fill_stats(
         self, m: int, n_rhs: int, interpolations: int, lane_slots: int,

@@ -12,10 +12,10 @@ asserts identical output grids).  Registered engines (see
 - ``"slice_and_dice"`` — the paper's binning-free column model,
 - ``"slice_and_dice_parallel"`` — the column model sharded across a
   multicore worker pool (bit-identical to the serial engine),
-- ``"slice_and_dice_compiled"`` — the select pass compiled once per
-  trajectory into flat scatter-plan arrays; repeat calls are one sparse
-  matvec per RHS (bit-identical to the serial engine), or
-  numba-fused scatter/gather loops with ``lane=``,
+- ``"slice_and_dice_compiled"`` — the select pass run once per
+  trajectory and kept as one CSR matrix; repeat calls are one sparse
+  call per RHS stack (bit-identical to the serial engine), or
+  numba-fused CSR loops with ``lane=``,
 - ``"slice_and_dice_jit"`` — alias of the compiled engine with
   ``lane="auto"``: the numba-fused lanes when numba is importable
   (supervised degradation to the NumPy lane when it is not),

@@ -26,21 +26,18 @@ sample stream to be resident.  This module exploits that:
 
 Chunk entries
 -------------
-Per axis, only the ``W`` candidate columns of a sample can pass the
-two-part boundary check (:mod:`repro.core.decomposition`): the columns
-``p = (rel - j) mod T`` at forward offsets ``j = 0..W-1``.  The
-generator evaluates exactly those, with the one-shot engines'
-expressions — ``fwd = j + frac``, ``mask = fwd < W``, the LUT weight at
-``lut.index_of(fwd)``, the wrapped tile ``(tile - (rel < p)) mod
-count`` — ordering each axis' ``W`` columns by ascending ``p``.  The
-flat dice address is separable, ``Σ_a p_a·T^(d-1-a)·n_tiles +
-tile_a·Π_{b>a} count_b``, so a chunk's ``(m, W^d)`` index and weight
-arrays are one broadcast add and one broadcast multiply over the
-per-axis factors (the weight product runs in axis order, as in the
-column scan, so every weight is bit-equal to the plan's).  The only
-entries that can fail the check are the rounding edge where
-``(W-1) + frac`` rounds up to ``W``; a chunk containing one is
-compressed on a slow path.
+Each chunk's entries come from the compiled engine's entry generator
+(:meth:`~repro.core.CompiledSliceAndDiceGridder._chunk_entries`; the
+construction is in :mod:`repro.core.compiled`), so the two engines
+share one select implementation: per axis only the ``W`` candidate
+columns are evaluated (``m * W * d`` boundary checks), and a chunk's
+``(m, W^d)`` dice addresses and weights come out sample by sample,
+ascending row within a sample — the CSR matrix of the chunk's ``A.T``.
+The one-shot compiled plan is the same generator's output over the
+whole trajectory, transposed once; here it lands in persistent scratch
+and is consumed chunk by chunk.  The fused lanes run
+:func:`repro.core.jit.csr_cols` (scatter) and
+:func:`~repro.core.jit.csr_rows` (gather) over the chunk's CSR arrays.
 
 Incremental-accumulation bit-identity
 -------------------------------------
@@ -78,15 +75,12 @@ is bit-identical in every lane and dtype.
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from ..core.compiled import CompiledSliceAndDiceGridder
-from ..core.decomposition import decompose_coordinates
+from ..core.compiled import ChunkEntries, CompiledSliceAndDiceGridder
 from ..core.jit import jit_available
 from ..errors import DegradationEvent
 from ..robustness.checkpoint import StreamCheckpoint
@@ -315,73 +309,6 @@ def choose_chunk_samples(
     return max(1, min(chunk, max(m, 1)))
 
 
-#: samples per generation block: every per-axis ``(W, block)``
-#: temporary stays cache-resident, and numpy's inner loops run over a
-#: block's samples rather than over the ``W`` candidates
-_BLOCK = 8192
-
-
-def _outer(ufunc, parts: list[np.ndarray], out: np.ndarray) -> None:
-    """Per-sample outer combination of ``d`` per-axis ``(W, m)`` factors.
-
-    Writes the sample-major ``(m, W, ..., W)`` array ``out[s, k0, ...,
-    k_{d-1}] = ufunc(...ufunc(parts[0][k0, s], parts[1][k1, s])...,
-    parts[d-1][k_{d-1}, s])`` — a left fold in axis order, so a weight
-    product is rounded exactly like the column scan's ``w0 * w1 * ...``.
-    The fold runs candidate-major (inner loop over samples) and is then
-    transposed into place.
-    """
-    m = parts[0].shape[1]
-    acc = parts[0]
-    for part in parts[1:]:
-        acc = ufunc(acc[:, None, :], part[None, :, :]).reshape(-1, m)
-    out.reshape(m, -1)[...] = acc.T
-
-
-@dataclass
-class ChunkEntries:
-    """One chunk's window entries, in sample order.
-
-    Entry ``e`` adds ``value[sample] * weight[e]`` to dice word
-    ``flat[e]``.  Entries run sample by sample and, within a sample, in
-    ascending dice row — the two orders the bit-identity argument of
-    the module docstring needs.  ``flat`` and ``weight`` are views into
-    the engine's persistent scratch, valid until the same scratch slot
-    is refilled.
-    """
-
-    m: int                  #: samples in the chunk
-    wd: int                 #: candidate entries per sample, ``W^d``
-    aug_idx: np.ndarray     #: int64 ``arange(n_flat)`` then ``flat``
-    weight: np.ndarray      #: real ``(nnz,)`` separable kernel weight per entry
-    sample: np.ndarray | None  #: int64 ``(nnz,)``; ``None``: dense, ``e // wd``
-    checks: int             #: boundary checks evaluated, ``m * W * d``
-    seconds: float          #: wall-clock of the generation
-    transient_bytes: int    #: generation temporaries, freed on return
-
-    @property
-    def nnz(self) -> int:
-        return int(self.weight.size)
-
-    @property
-    def flat(self) -> np.ndarray:
-        """int64 ``(nnz,)`` global dice address per entry."""
-        return self.aug_idx[self.aug_idx.size - self.nnz:]
-
-    def weigh(self, values: np.ndarray, out: np.ndarray) -> None:
-        """``out[e] = values[sample(e)] * weight[e]`` for a real
-        ``(m,)`` value vector (one real part of one RHS)."""
-        if self.sample is None:
-            np.multiply(
-                values[:, None],
-                self.weight.reshape(self.m, self.wd),
-                out=out.reshape(self.m, self.wd),
-            )
-        else:
-            np.take(values, self.sample, out=out, mode="clip")
-            out *= self.weight
-
-
 class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     """Chunked streaming Slice-and-Dice with plan-free chunk entries.
 
@@ -414,9 +341,9 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         of one).  A worker failure demotes stickily to unpipelined
         streaming (recorded :class:`~repro.errors.DegradationEvent`);
         results are bit-identical either way.
-    plan_cache_size / table_cache_size:
+    plan_cache_size:
         Accepted for signature compatibility with the compiled engine
-        and validated (``>= 0``), but they have no effect here: chunk
+        and validated (``>= 0``), but it has no effect here: chunk
         entries are generated per call and never cached.
 
     Examples
@@ -465,27 +392,19 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         lane: str = "auto",
         pipelined: bool = False,
         plan_cache_size: int = 8,
-        table_cache_size: int = 0,
     ):
-        for label, size in (
-            ("plan_cache_size", plan_cache_size),
-            ("table_cache_size", table_cache_size),
-        ):
-            if size < 0:
-                raise ValueError(f"{label} must be >= 0, got {size}")
+        if plan_cache_size < 0:
+            raise ValueError(
+                f"plan_cache_size must be >= 0, got {plan_cache_size}"
+            )
         super().__init__(
-            setup,
-            tile_size=tile_size,
-            lane=lane,
-            plan_cache_size=0,
-            table_cache_size=0,
+            setup, tile_size=tile_size, lane=lane, plan_cache_size=0
         )
         self.chunk_samples = _check_chunk_samples(chunk_samples)
         self.pipelined = bool(pipelined)
         #: sticky pipelining health — a failed prefetch worker disables
         #: pipelining for the life of the instance, never mid-retries it
         self._pipeline_ok = True
-        self._candidates = self._candidate_tables()
         self._reset_scratch()
 
     # ------------------------------------------------------------------
@@ -493,8 +412,9 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     # ------------------------------------------------------------------
     def _select_lane(self, nnz: int) -> str:
         """``"jit"`` (and ``"auto"`` while numba imports) run the serial
-        kernel: chunk entries are in sample order, not the row-major
-        order the parallel scatter shards on."""
+        kernels: a chunk's entries are sample-major, so its scatter is
+        a column pass whose dice-word writes cannot be sharded
+        race-free."""
         if self._lane == "auto":
             return "numba-serial" if jit_available() else "numpy"
         return "numba-serial" if self._lane == "jit" else self._lane
@@ -522,7 +442,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         #: values) — doubles as the forward gather buffer
         self._aug_wgt: np.ndarray | None = None
         #: ``repeat(arange(m), W^d)``: sample index of dense entries,
-        #: built only by the lanes that need one (forward, jit, serial)
+        #: built only by the NumPy lane's forward
         self._dense_sample: np.ndarray | None = None
 
     def _slot_scratch(
@@ -566,138 +486,15 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
     # ------------------------------------------------------------------
     # chunk entry generation (the select + weight stages)
     # ------------------------------------------------------------------
-    def _candidate_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-``rel`` tables of the ``W`` candidate columns, ``(W, T)``.
-
-        Column ``k`` of the ascending order is at forward offset
-        ``j = (min(rel, W-1) - k) mod W``, i.e. column ``p = (rel - j)
-        mod T``; it *wraps* into the previous tile iff ``rel < p``,
-        i.e. iff ``j > rel`` (the columns ``p <= rel`` come first).
-        Returns ``(j, wrap, p)``; ``j`` as float64, ready to add to a
-        fraction (``int + float`` converts the int exactly, so the sum
-        is the one-shot engines' ``fwd`` bit for bit).
-        """
-        w, t = self.setup.width, self.tile_size
-        rel = np.arange(t)
-        k = np.arange(w)[:, None]
-        j = np.mod(np.minimum(rel, w - 1) - k, w)
-        wrap = j > rel
-        return j.astype(np.float64), wrap, rel - j + t * wrap
-
-    def _axis_factors(self, coords: np.ndarray):
-        """Per-axis ``(W, m)`` candidate factors of a block of samples.
-
-        Returns ``(masks, weights, addrs)``: per axis the boundary
-        check (``None`` when every candidate passes — all but the
-        rounding edge), the LUT weight, and the axis' share of the
-        flat dice address.
-        """
-        setup = self.setup
-        lut = setup.lut
-        w, t = setup.width, self.tile_size
-        j_of, wrap_of, col_of = self._candidates
-        row_stride = self.layout.n_columns * self.layout.n_tiles
-        tile_stride = self.layout.n_tiles
-        masks, weights, addrs = [], [], []
-        for axis in range(setup.ndim):
-            # one axis at a time: elementwise the same decomposition,
-            # without (m, d)-shaped passes
-            dec = decompose_coordinates(
-                coords[:, axis:axis + 1], setup.grid_shape[axis:axis + 1],
-                t, lut.width,
-            )
-            count = dec.tile_counts[0]
-            row_stride //= t
-            tile_stride //= count
-            rel, tile = dec.rel[:, 0], dec.tile[:, 0]
-            fwd = np.take(j_of, rel, axis=1)
-            fwd += dec.frac[:, 0]
-            masks.append(fwd < w if fwd.max() >= w else None)
-            weights.append(
-                lut.table[lut.index_of(fwd)].astype(setup.real_dtype, copy=False)
-            )
-            # address = p * row_stride + ((tile - wrap) mod count) *
-            # tile_stride; the mod only bites when tile == 0 wraps
-            addr = np.take(
-                col_of * row_stride - wrap_of * tile_stride, rel, axis=1
-            )
-            addr += tile * tile_stride
-            edge = np.flatnonzero(tile == 0)
-            addr[:, edge] += (
-                np.take(wrap_of, rel[edge], axis=1) * count * tile_stride
-            )
-            addrs.append(addr)
-        return masks, weights, addrs
-
-    def _chunk_entries(self, coords: np.ndarray, slot: int = 0) -> ChunkEntries:
-        """Generate one chunk's window entries into scratch slot ``slot``.
-
-        Evaluates the ``W`` candidate columns per axis (module
-        docstring) block by block, laid out ``(W, block)`` so every
-        numpy pass runs over samples, and combines the axes with
-        broadcast adds/multiplies written straight into the slot's
-        buffers.  When every check passes — always, except at the
-        ``(W-1) + frac → W`` rounding edge — the entries are dense:
-        ``W^d`` per sample, in ascending row order.  Otherwise the
-        failing entries are compressed out and the chunk carries an
-        explicit sample index.
-        """
-        t0 = time.perf_counter()
-        w, d = self.setup.width, self.setup.ndim
+    def _entries(self, coords: np.ndarray, slot: int = 0) -> ChunkEntries | None:
+        """One chunk's entries, generated into scratch slot ``slot``
+        (``None`` for an empty chunk)."""
         m = coords.shape[0]
-        wd = w ** d
+        if not m:
+            return None
         n_flat = self.layout.n_columns * self.layout.n_tiles
-        aug_idx, wgt = self._slot_scratch(slot, n_flat, m * wd)
-        flat = aug_idx[n_flat:]
-        edges = []  # (lo, hi, masks) of blocks holding a rounding edge
-        for lo in range(0, m, _BLOCK):
-            hi = min(lo + _BLOCK, m)
-            masks, weights, addrs = self._axis_factors(coords[lo:hi])
-            _outer(np.add, addrs, flat[lo * wd:hi * wd])
-            _outer(np.multiply, weights, wgt[lo * wd:hi * wd])
-            if any(mk is not None for mk in masks):
-                edges.append((lo, hi, masks))
-        # generation temporaries of one block: ~4 (b,) decomposition
-        # arrays per axis, the kept (W, b) factors (mask, float64 LUT
-        # read, weight, address) plus ~4 in-flight ones, and the
-        # (W^(d-1), b) and (W^d, b) folds of _outer
-        b = min(m, _BLOCK)
-        transient = (
-            4 * d * b * 8
-            + (d * 25 + 4 * 8) * w * b
-            + (wd + wd // w) * b * 8
-        )
-        sample = None
-        if edges:
-            keep_mask = np.ones(m * wd, dtype=bool)
-            for lo, hi, masks in edges:
-                full = np.ones((w, hi - lo), dtype=bool)
-                _outer(
-                    np.logical_and,
-                    [full if mk is None else mk for mk in masks],
-                    keep_mask[lo * wd:hi * wd],
-                )
-            keep = np.flatnonzero(keep_mask)
-            nnz = keep.size
-            aug_idx[n_flat:n_flat + nnz] = flat[keep]
-            wgt[:nnz] = wgt[keep]
-            sample = keep // wd
-            aug_idx, wgt = aug_idx[:n_flat + nnz], wgt[:nnz]
-            # kept masks + combined mask + keep/sample + compressed copies
-            transient += len(edges) * d * w * b + m * wd + nnz * (24 + 8)
-        return ChunkEntries(
-            m=m,
-            wd=wd,
-            aug_idx=aug_idx,
-            weight=wgt,
-            sample=sample,
-            checks=m * w * d,
-            seconds=time.perf_counter() - t0,
-            transient_bytes=transient,
-        )
-
-    def _entries(self, coords: np.ndarray) -> ChunkEntries | None:
-        return self._chunk_entries(coords) if coords.shape[0] else None
+        nnz = m * self.setup.width ** self.setup.ndim
+        return self._chunk_entries(coords, *self._slot_scratch(slot, n_flat, nnz))
 
     # ------------------------------------------------------------------
     # per-chunk scatter / gather (the accumulate stage)
@@ -736,7 +533,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
             return
         lane = self._select_lane(entries.nnz)
         if lane == "numpy" or not self._launch(
-            lane, "scatter", values_stack, self._samples(entries),
+            lane, "scatter", "cols-serial", values_stack, entries.indptr(),
             entries.flat, entries.weight, dice_flat,
         ):
             self._scatter_chunk_numpy(entries, values_stack, dice_flat)
@@ -767,7 +564,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
         out = np.zeros((dice_flat.shape[0], entries.m), dtype=self.setup.dtype)
         lane = self._select_lane(entries.nnz)
         if lane == "numpy" or not self._launch(
-            lane, "gather", dice_flat, self._samples(entries),
+            lane, "gather", "rows-serial", dice_flat, entries.indptr(),
             entries.flat, entries.weight, out,
         ):
             self._gather_chunk_numpy(entries, dice_flat, out)
@@ -835,7 +632,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
 
         def generate(chunk_coords, slot):
             worker_fault_point(0)
-            return self._chunk_entries(chunk_coords, slot)
+            return self._entries(chunk_coords, slot)
 
         executor = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="stream-prefetch"
@@ -1194,7 +991,7 @@ class StreamingSliceAndDiceGridder(CompiledSliceAndDiceGridder):
                             (k_rhs, 0), dtype=self.setup.dtype
                         )
                     else:
-                        entries = self._chunk_entries(coords_c)
+                        entries = self._entries(coords_c)
                         vals = self._gather_chunk(entries, dice_flat)
                         total.accumulate(
                             self._chunk_stats(entries, k_rhs, coords_c, None)

@@ -277,10 +277,12 @@ class NufftPlan:
         self.coords = coords
         #: coordinates mapped to grid units [0, G); omega and omega + 1
         #: are the same frequency for integer pixel positions, so the
-        #: torus mapping is exact (no phase correction needed)
-        self.grid_coords = np.mod(coords, 1.0) * np.asarray(
-            self.grid_shape, dtype=np.float64
-        )
+        #: torus mapping is exact (no phase correction needed).  The
+        #: outer mod folds a product that rounds up to G back to 0, so
+        #: the gridders' coordinate gate passes this one array through
+        #: on every call and their cache keys are hashed once
+        grid = np.asarray(self.grid_shape, dtype=np.float64)
+        self.grid_coords = np.mod(np.mod(coords, 1.0) * grid, grid)
 
         validate_policy(quality_policy)
         if isinstance(gridder, Gridder):

@@ -28,20 +28,19 @@ Terminal transitions are **idempotent and attempt-guarded**: every
 stale attempt number (a zombie thread finishing after its job was
 requeued) is discarded.  ``on_terminal`` fires exactly once.
 
-The trajectory **fingerprint** computed here is the affinity-routing
-key: jobs whose coordinate arrays fingerprint identically are routed
-to the same worker, whose plan/select-table/Toeplitz caches are
-therefore already warm for them.  The fingerprint deliberately reuses
-the O(1) sampling scheme of the gridder-side caches
-(:meth:`repro.core.slice_and_dice.SliceAndDiceGridder._coords_fingerprint`)
-so "same fingerprint" at the service layer implies cache hits all the
-way down.
+The trajectory **fingerprint** of a job is the affinity-routing and
+warm-plan key: jobs whose coordinate arrays fingerprint identically
+are routed to the same worker, whose plan/select-table/Toeplitz caches
+are therefore already warm for them.  It is
+:func:`repro.core.slice_and_dice.trajectory_fingerprint` — the same
+full-content SHA-1 the gridder-side caches key on — computed once per
+job, so equal fingerprints mean equal trajectories and a different
+trajectory can never be served another one's warm plan.
 """
 
 from __future__ import annotations
 
 import base64
-import hashlib
 import threading
 import time
 import uuid
@@ -49,6 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.slice_and_dice import trajectory_fingerprint
 from ..gridding.registry import default_gridder
 from ..robustness.deadline import CancelToken, Deadline
 
@@ -74,26 +74,6 @@ class JobState:
 
     #: states a job can no longer leave
     TERMINAL = (DONE, FAILED, CANCELLED, DEADLINE_EXCEEDED)
-
-
-def trajectory_fingerprint(coords: np.ndarray) -> str:
-    """Hex affinity key for an ``(M, d)`` coordinate array.
-
-    Reads O(1) rows (first/middle/last), a strided checksum of at most
-    16 rows, and the shape — the same observable set the gridder-side
-    select-table/compiled-plan caches key on, hashed to a compact hex
-    string so it can travel through JSON and be compared cheaply.
-    """
-    coords = np.ascontiguousarray(np.atleast_2d(coords), dtype=np.float64)
-    m = coords.shape[0]
-    step = max(1, m // 16)
-    h = hashlib.sha1()
-    h.update(repr(coords.shape).encode())
-    h.update(coords[0].tobytes())
-    h.update(coords[m // 2].tobytes())
-    h.update(coords[-1].tobytes())
-    h.update(np.float64(coords[::step].sum()).tobytes())
-    return h.hexdigest()[:16]
 
 
 # ----------------------------------------------------------------------

@@ -16,7 +16,16 @@ from repro.core import CompiledSliceAndDiceGridder, SliceAndDiceGridder
 from repro.gridding import GriddingSetup, make_gridder
 from repro.kernels import KernelLUT, beatty_kernel
 from repro.robustness import inject_faults
-from tests.conftest import random_samples
+from tests.conftest import (
+    random_samples,
+    reverse_unprobed_spokes,
+    sampled_probe_key,
+)
+
+#: a coordinate whose window-shifted value (shift W/2 = 3 at W = 6) is
+#: 4 - 2**-51: the last candidate column's ``(W-1) + frac`` rounds to
+#: exactly ``W`` and fails the boundary check ``fwd < W``
+EDGE = 1.0 - 2.0 ** -51
 
 def setup_3d() -> GriddingSetup:
     return GriddingSetup((16, 16, 16), KernelLUT(beatty_kernel(4, 2.0), 32))
@@ -74,6 +83,34 @@ class TestBitIdentity:
             com.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
         )
 
+    @pytest.mark.parametrize("ndim", (2, 3))
+    def test_rounding_edge_bit_identical(self, rng, ndim):
+        """At the ``(W-1) + frac -> W`` rounding edge the compile takes
+        the generator's compressed path; both directions must still
+        match the serial engine, which drops the same entries."""
+        shape = (32, 32) if ndim == 2 else (16, 16, 16)
+        setup = GriddingSetup(shape, KernelLUT(beatty_kernel(6, 2.0), 64))
+        m = 40
+        coords = rng.uniform(0, shape[0], (m, ndim))
+        coords[::7, 0] = EDGE     # edge on the first axis
+        coords[3::7, -1] = EDGE   # edge on the last axis
+        coords[5] = EDGE          # edge on every axis
+        stack = rng.standard_normal((3, m)) + 1j * rng.standard_normal((3, m))
+        gstack = random_grid_stack(rng, 3, shape)
+        ser = SliceAndDiceGridder(setup)
+        com = CompiledSliceAndDiceGridder(setup)
+        assert np.array_equal(com.grid(coords, stack[0]), ser.grid(coords, stack[0]))
+        assert com.stats.plan_nnz < m * setup.width ** ndim  # compressed
+        assert np.array_equal(
+            com.grid_batch(coords, stack), ser.grid_batch(coords, stack)
+        )
+        assert np.array_equal(
+            com.interp(gstack[0], coords), ser.interp(gstack[0], coords)
+        )
+        assert np.array_equal(
+            com.interp_batch(gstack, coords), ser.interp_batch(gstack, coords)
+        )
+
     def test_address_trace_matches_serial(self, small_setup, rng):
         coords, _ = random_samples(rng, 100, small_setup.grid_shape)
         ser = SliceAndDiceGridder(small_setup)
@@ -94,12 +131,14 @@ class TestCsrBackend:
         )
 
     def test_csr_matrix_has_no_duplicates(self, tiny_setup, rng):
-        # W <= T guarantees unique (sample, row) pairs, so COO->CSR
-        # conversion must not have merged anything
+        # W <= T guarantees unique (sample, row) pairs, so summing
+        # duplicates must not merge anything
         coords, _ = random_samples(rng, 100, tiny_setup.grid_shape)
         com = CompiledSliceAndDiceGridder(tiny_setup)
         plan, _ = com._fetch_plan(tiny_setup.check_coords(coords))
-        assert plan.csr().nnz == plan.nnz
+        merged = plan.matrix.copy()
+        merged.sum_duplicates()
+        assert merged.nnz == plan.nnz
 
 
 def wide_range_stack(rng, k, m):
@@ -163,7 +202,7 @@ class TestSparseKernelBitIdentity:
         grids = com.grid_batch(coords, stack)
         samples = com.interp_batch(gstack, coords)
         plan, _ = com._fetch_plan(setup.check_coords(coords))
-        assert plan.csr().data.dtype == np.float32
+        assert plan.matrix.data.dtype == np.float32
         assert grids.dtype == samples.dtype == np.complex64
         close = dict(rtol=1e-5, atol=1e-5)
         assert np.allclose(grids, ser.grid_batch(coords, stack), **close)
@@ -217,9 +256,13 @@ class TestPlanCache:
         com = CompiledSliceAndDiceGridder(small_setup)
         com.grid(coords, values)
         assert (com.stats.cache_misses, com.stats.cache_hits) == (1, 0)
-        assert com.stats.boundary_checks == 200 * com.layout.n_columns
+        # the entry generator's select work: W candidates per axis
+        w, d = small_setup.width, small_setup.ndim
+        assert com.stats.boundary_checks == 200 * w * d
+        assert com.stats.lut_lookups == 200 * w * d
         assert com.stats.plan_compile_seconds > 0
-        assert com.stats.table_bytes > 0
+        assert com.stats.table_bytes == 0
+        assert com.stats.table_build_seconds == 0.0
         com.grid(coords, values)
         assert (com.stats.cache_misses, com.stats.cache_hits) == (0, 1)
         assert com.stats.boundary_checks == 0
@@ -227,6 +270,31 @@ class TestPlanCache:
         assert com.stats.plan_compile_seconds == 0.0
         # no divergence on the gather: every lane slot does useful work
         assert com.stats.simd_lane_slots == com.stats.simd_active_lanes
+
+    @pytest.mark.parametrize("dtype", (np.complex128, np.complex64))
+    def test_plan_is_one_int32_matrix(self, rng, dtype):
+        setup = GriddingSetup(
+            (32, 32), KernelLUT(beatty_kernel(6, 2.0), 64), dtype=dtype
+        )
+        coords, _ = random_samples(rng, 200, setup.grid_shape)
+        com = CompiledSliceAndDiceGridder(setup)
+        plan, hit = com._fetch_plan(setup.check_coords(coords))
+        mat = plan.matrix
+        assert not hit
+        assert mat.shape == (com.layout.n_columns * com.layout.n_tiles, 200)
+        assert mat.indices.dtype == mat.indptr.dtype == np.int32
+        assert mat.data.dtype == setup.real_dtype
+        assert plan.nnz == mat.nnz == 200 * setup.width ** 2
+        assert plan.nbytes == (
+            mat.data.nbytes + mat.indices.nbytes + mat.indptr.nbytes
+        )
+        # the sample-major copy exists only once asked for, and counts
+        by_sample = plan.by_sample()
+        assert plan.nbytes == sum(
+            a.nbytes
+            for m_ in (mat, by_sample)
+            for a in (m_.data, m_.indices, m_.indptr)
+        )
 
     def test_plan_nnz_counts_passing_checks(self, tiny_setup, rng):
         # interior samples pass exactly W^d checks per sample
@@ -284,6 +352,57 @@ class TestPlanCache:
         gstack = np.zeros((2,) + tiny_setup.grid_shape, dtype=complex)
         assert com.interp_batch(gstack, empty).shape == (2, 0)
         assert com.address_trace(empty).size == 0
+
+
+# ----------------------------------------------------------------------
+# trajectory identity: a full-content key, never a sampled one
+# ----------------------------------------------------------------------
+class TestTrajectoryIdentity:
+    @staticmethod
+    def _trajectories(rng):
+        from repro.trajectories import radial_trajectory
+
+        n_readout = 32
+        coords = np.mod(radial_trajectory(64, n_readout), 1.0) * 64
+        values = rng.standard_normal(coords.shape[0]) + 1j * rng.standard_normal(
+            coords.shape[0]
+        )
+        other, other_values = reverse_unprobed_spokes(coords, n_readout, values)
+        # a sampled key cannot tell the two apart
+        assert sampled_probe_key(coords) == sampled_probe_key(other)
+        assert not np.array_equal(coords, other)
+        return coords, values, other, other_values
+
+    @pytest.mark.parametrize("cls", [SliceAndDiceGridder, CompiledSliceAndDiceGridder])
+    def test_block_reversed_trajectory_misses(self, rng, cls):
+        setup = GriddingSetup((64, 64), KernelLUT(beatty_kernel(6, 2.0), 64))
+        coords, values, other, other_values = self._trajectories(rng)
+        g = cls(setup)
+        g.grid(coords, values)
+        assert g.stats.cache_misses == 1
+        got = g.grid(other, other_values)
+        assert (g.stats.cache_misses, g.stats.cache_hits) == (1, 0)
+        assert np.array_equal(got, cls(setup).grid(other, other_values))
+        grid = random_grid_stack(rng, 1, setup.grid_shape)[0]
+        assert np.array_equal(g.interp(grid, other), cls(setup).interp(grid, other))
+        assert g.stats.cache_hits == 1
+
+    def test_same_array_skips_the_hash(self, small_setup, rng, monkeypatch):
+        import repro.core.slice_and_dice as snd
+
+        coords, values = random_samples(rng, 100, small_setup.grid_shape)
+        com = CompiledSliceAndDiceGridder(small_setup)
+        calls = []
+        real = snd.trajectory_fingerprint
+        monkeypatch.setattr(
+            snd, "trajectory_fingerprint", lambda c: calls.append(1) or real(c)
+        )
+        com.grid(coords, values)
+        com.grid(coords, values)
+        assert len(calls) == 1               # same object: key reused
+        com.grid(coords.copy(), values)      # equal content, new object
+        assert len(calls) == 2
+        assert com.stats.cache_hits == 1
 
 
 # ----------------------------------------------------------------------

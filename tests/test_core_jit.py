@@ -2,7 +2,7 @@
 
 The raw loop bodies in :mod:`repro.core.jit` are plain Python wrapped
 by ``njit`` only at first use, so the numerics contract — serial and
-sharded lanes bit-identical to the NumPy ``bincount`` path at
+sharded lanes bit-identical to the NumPy sparse-kernel path at
 complex128, NRMSD <= 1e-6 at complex64 — is testable here without
 numba installed.  The CI ``jit`` job re-runs this file with numba
 present, where the same assertions cover the compiled dispatchers via
@@ -18,11 +18,9 @@ import repro.core.jit as jitmod
 from repro.core.jit import (
     JIT_DISABLE_ENV,
     JitSliceAndDiceGridder,
-    gather_plan_entries,
-    gather_plan_samples,
+    csr_cols,
+    csr_rows,
     jit_available,
-    scatter_plan_entries,
-    scatter_plan_rows,
 )
 from repro.gridding import (
     GriddingSetup,
@@ -57,10 +55,11 @@ def nrmsd(a, b):
 
 
 # ----------------------------------------------------------------------
-# raw-lane numerics vs the NumPy bincount engine
+# raw-lane numerics vs the NumPy sparse-kernel lane
 # ----------------------------------------------------------------------
 class TestRawLaneIdentity:
-    """The four loop bodies vs the parent's bincount path."""
+    """The CSR loop bodies, run as each lane runs them over the plan's
+    matrix, vs the NumPy sparse-kernel path."""
 
     @pytest.fixture
     def compiled(self):
@@ -75,15 +74,9 @@ class TestRawLaneIdentity:
     def _run_scatter(self, g, plan, stack, lane):
         n_flat = plan.n_rows * plan.n_tiles
         dice = np.zeros((stack.shape[0], n_flat), dtype=g.setup.dtype)
-        if lane == "serial":
-            scatter_plan_entries(
-                stack, plan.sample_idx, plan.flat_idx, plan.weight, dice
-            )
-        else:
-            scatter_plan_rows(
-                stack, plan.sample_idx, plan.flat_idx, plan.weight,
-                plan.row_starts, dice,
-            )
+        # serial and row-sharded lanes run the same row pass over A
+        mat = plan.matrix
+        csr_rows(stack, mat.indptr, mat.indices, mat.data, dice)
         return np.stack([
             g.layout.dice_to_grid(dice[k].reshape(plan.n_rows, plan.n_tiles))
             for k in range(stack.shape[0])
@@ -96,14 +89,11 @@ class TestRawLaneIdentity:
         ])
         out = np.zeros((grids.shape[0], m), dtype=g.setup.dtype)
         if lane == "serial":
-            gather_plan_entries(
-                dice, plan.sample_idx, plan.flat_idx, plan.weight, out
-            )
+            mat = plan.matrix
+            csr_cols(dice, mat.indptr, mat.indices, mat.data, out)
         else:
-            order, starts = plan.sample_view()
-            gather_plan_samples(
-                dice, plan.flat_idx, plan.weight, order, starts, out
-            )
+            mat = plan.by_sample()
+            csr_rows(dice, mat.indptr, mat.indices, mat.data, out)
         return out
 
     @pytest.mark.parametrize("lane", ["serial", "rows"])

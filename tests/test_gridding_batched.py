@@ -21,6 +21,8 @@ from repro.gridding import (
     GriddingSetup,
     NaiveGridder,
     SparseMatrixGridder,
+    default_gridder,
+    make_gridder,
 )
 from repro.kernels import KernelLUT, beatty_kernel
 from repro.nufft import NufftPlan
@@ -67,6 +69,29 @@ class TestBitIdentity:
         singles = np.stack([gridder.interp(g, coords) for g in grids])
         batch = gridder.interp_batch(grids, coords)
         assert np.array_equal(batch, singles)
+
+    @pytest.mark.parametrize("ndim", [2, 3])
+    @pytest.mark.parametrize("lane", ["default", "numba-parallel"])
+    def test_compiled_batch_matches_singles_and_serial(self, ndim, lane, rng):
+        """The default engine (numba lanes when numba imports) and the
+        row/sample-sharded lane run a whole stack over one plan."""
+        setup = make_setup(ndim)
+        coords, values, grids = make_problem(setup, rng)
+        if lane == "default":
+            gridder = make_gridder(default_gridder(), setup)
+        else:
+            gridder = make_gridder("slice_and_dice_compiled", setup, lane=lane)
+        serial = SliceAndDiceGridder(setup, tile_size=8)
+        batch = gridder.grid_batch(coords, values)
+        assert np.array_equal(
+            batch, np.stack([gridder.grid(coords, v) for v in values])
+        )
+        assert np.array_equal(batch, serial.grid_batch(coords, values))
+        samples = gridder.interp_batch(grids, coords)
+        assert np.array_equal(
+            samples, np.stack([gridder.interp(g, coords) for g in grids])
+        )
+        assert np.array_equal(samples, serial.interp_batch(grids, coords))
 
     def test_base_class_fallback_is_exact(self, rng):
         """The default loop fallback is K single calls by construction."""

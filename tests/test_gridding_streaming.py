@@ -507,8 +507,9 @@ class TestMemory:
         m = 500
         coords, values = random_samples(rng, m, small_setup.grid_shape)
         w, d = small_setup.width, small_setup.ndim
+        # the NumPy lane's scratch: the fused lanes need no seeded weights
         stm = make_gridder(
-            "slice_and_dice_streaming", small_setup,
+            "slice_and_dice_streaming", small_setup, lane="numpy",
             chunk_samples=64, plan_cache_size=16,  # accepted, no effect
         )
         for _ in range(2):

@@ -37,6 +37,7 @@ from repro.service import (
     trajectory_fingerprint,
 )
 from repro.trajectories import radial_trajectory
+from tests.conftest import reverse_unprobed_spokes, sampled_probe_key
 
 
 def _problem(n=32, spokes=16, readout=32, seed=7):
@@ -57,6 +58,12 @@ class TestJobModel:
             coords.copy()
         )
         other = radial_trajectory(17, 32)
+        assert trajectory_fingerprint(coords) != trajectory_fingerprint(other)
+
+    def test_fingerprint_reads_every_row(self):
+        coords, samples, _ = _problem(spokes=64)
+        other, _ = reverse_unprobed_spokes(coords, 32, samples)
+        assert sampled_probe_key(coords) == sampled_probe_key(other)
         assert trajectory_fingerprint(coords) != trajectory_fingerprint(other)
 
     def test_array_codec_round_trip(self):
@@ -159,6 +166,26 @@ class TestServiceNumerics:
             assert second.result.toeplitz_cache == "hit"
             # affinity: same fingerprint -> same worker
             assert first.worker == second.worker
+
+    def test_block_reversed_trajectory_gets_its_own_plan(self):
+        """A trajectory that agrees with a warm one on every sampled
+        probe row must miss the warm caches and return its own image."""
+        coords, samples, weights = _problem(spokes=64)
+        other, other_samples = reverse_unprobed_spokes(coords, 32, samples)
+        ref = NufftPlan(
+            (32, 32), other, gridder="slice_and_dice_compiled"
+        ).adjoint(other_samples * weights)
+        with ReconService(workers=1) as svc:
+            first = svc.submit(JobSpec((32, 32), coords, samples,
+                                       weights=weights, method="adjoint"))
+            svc.wait(first.id, timeout=60)
+            second = svc.submit(JobSpec((32, 32), other, other_samples,
+                                        weights=weights, method="adjoint"))
+            svc.wait(second.id, timeout=60)
+        assert second.state == JobState.DONE
+        assert second.spec.fingerprint != first.spec.fingerprint
+        assert second.result.plan_cache == "miss"
+        np.testing.assert_array_equal(second.result.image, ref)
 
     def test_distinct_weights_share_plan_not_toeplitz(self):
         coords, samples, weights = _problem()
